@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slo test-planner bench-smoke bench tune-smoke trace-smoke chaos-smoke docs-check lint profile
+.PHONY: test test-slo test-planner bench-smoke bench perfbench-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
 
 ## tier-1 suite — must stay green (ROADMAP.md)
 test:
@@ -30,6 +30,12 @@ bench-smoke:
 	    benchmarks/bench_fault_tolerance.py \
 	    benchmarks/bench_obs_overhead.py --smoke \
 	    --benchmark-only --benchmark-json=BENCH_smoke.json -q -s
+
+## self-test of the repository benchmark (BENCHMARK.json + perfbench/): tiny
+## runs of every workload emit every declared metric and pass their checks,
+## tampered reports trip each check (about 100 s; scratch in perfbench/out/)
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 ## measure one model on one GPU and emit the tuning DB (TUNE_smoke.json);
 ## CI uploads it next to the bench trajectory artifacts

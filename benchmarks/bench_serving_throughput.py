@@ -4,7 +4,7 @@ Not a paper artifact — this is the repo's throughput/serving scenario: plan
 once via the LRU PlanCache, then execute batched passes whose launch
 overheads and weight re-streams amortize across the micro-batch.  Reports
 img/s, per-image latency and energy per batch size, plus a replayed request
-stream's p50/p99 latency under micro-batching.
+stream's p50/p99 latency under micro-batching (a one-worker ``fleet_replay``).
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.core.dtypes import DType
 from repro.experiments import format_table
 from repro.gpu.specs import RTX_A4000
 from repro.models.zoo import CNN_MODELS
-from repro.serve import ModelServer, replay
+from repro.serve import ModelServer, fleet_replay
 
 BATCHES = (1, 2, 4, 8, 16)
 
@@ -63,8 +63,8 @@ def test_serving_throughput_sweep(benchmark, once, capsys):
 def test_serving_stream_latency(benchmark, once, capsys, rate):
     report = once(
         benchmark,
-        lambda: replay(
-            RTX_A4000, "mobilenet_v2", n_requests=128, rate_rps=rate,
+        lambda: fleet_replay(
+            [RTX_A4000], "mobilenet_v2", n_requests=128, rate_rps=rate,
             dtype=DType.FP32, max_batch=8,
         ),
     )

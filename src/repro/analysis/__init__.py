@@ -25,7 +25,7 @@ from .base import Finding, Rule, resolve_rules, rule_registry
 from .importgraph import ImportGraph, build_import_graph
 from .reporters import render_json, render_text
 from .rules import ALL_RULE_IDS, LAYER_DEPS, SERIALIZER_ROOTS
-from .runner import AnalysisContext, analyze_paths, run_analysis
+from .runner import AnalysisContext, analyze_paths
 
 __all__ = [
     "ALL_RULE_IDS",
@@ -41,5 +41,4 @@ __all__ = [
     "render_text",
     "resolve_rules",
     "rule_registry",
-    "run_analysis",
 ]

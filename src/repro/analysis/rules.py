@@ -189,13 +189,17 @@ class WallClockRule(Rule):
 
 @register_rule
 class UnseededRngRule(Rule):
-    """RPR002: no module-level or unseeded RNG.
+    """RPR002: no module-level or unseeded RNG, no salted ``hash()``.
 
     Every random draw must come from an explicitly seeded
     ``np.random.default_rng(seed)`` (or a seeded ``random.Random(seed)``
     instance) so replays and worker pools reproduce bit-identically.  The
     stdlib module-level ``random.*`` functions and unseeded generators are
-    process-global hidden state.
+    process-global hidden state.  So is builtin ``hash()``: Python salts it
+    per process (``PYTHONHASHSEED``), so a seed or persisted key derived
+    from it differs between processes.  Any ``hash()`` call outside a
+    ``__hash__`` method is a finding; derive such values from
+    ``zlib.crc32``/``hashlib`` over a canonical string instead.
     """
 
     rule_id = "RPR002"
@@ -205,7 +209,20 @@ class UnseededRngRule(Rule):
         for info in ctx.modules:
             al = _aliases(info)
             seeded_call_funcs: set[int] = set()
+            in_dunder_hash: set[int] = set()
             for node in ast.walk(info.tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name == "__hash__":
+                    in_dunder_hash.update(id(n) for n in ast.walk(node))
+            for node in ast.walk(info.tree):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "hash" and id(node) not in in_dunder_hash:
+                    yield _finding(
+                        info, node, self.rule_id,
+                        "builtin `hash()` is salted per process "
+                        "(PYTHONHASHSEED); derive seeds and keys from "
+                        "`zlib.crc32`/`hashlib` of a canonical string",
+                    )
                 if isinstance(node, ast.Call):
                     dotted = _dotted(node.func)
                     if dotted is None:

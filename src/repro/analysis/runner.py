@@ -33,7 +33,6 @@ __all__ = [
     "ModuleInfo",
     "analyze_paths",
     "collect_files",
-    "run_analysis",
     "run_context",
 ]
 
@@ -125,14 +124,6 @@ def _parse(path: Path) -> ModuleInfo:
         source_lines=tuple(lines),
         suppressions=tuple(parse_suppressions(lines)),
     )
-
-
-def run_analysis(
-    modules: Iterable[ModuleInfo], rules: "str | Iterable[str] | None" = None
-) -> list[Finding]:
-    """Run the selected rules over parsed modules; returns sorted findings."""
-    ctx = AnalysisContext(modules=tuple(modules), rule_ids=resolve_rules(rules))
-    return run_context(ctx)
 
 
 def run_context(ctx: AnalysisContext) -> list[Finding]:

@@ -16,6 +16,7 @@ plan marks add-glue as free (fused).  ``TvmSession``-style execution lives in
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 from ..core.dtypes import DType
@@ -99,8 +100,9 @@ class TvmCompiler:
             algo, tile = cfg
             return cudnn_timing(spec, algo, self.gpu, gemm_tile=tile).t_total_s
 
-        # Per-layer seed keeps tuning deterministic yet layer-diverse.
-        lseed = (self.seed * 1000003 + abs(hash(spec.name))) % (2**31)
+        # Per-layer seed keeps tuning deterministic yet layer-diverse; CRC-32
+        # rather than builtin hash(), which is salted per process.
+        lseed = (self.seed * 1000003 + zlib.crc32(spec.name.encode("utf-8"))) % (2**31)
         (algo, tile), cost, _evaluated = random_search(
             candidates, evaluate, self.tuning_iterations, seed=lseed
         )

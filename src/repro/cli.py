@@ -235,14 +235,12 @@ def _slo_kwargs(args: argparse.Namespace) -> dict:
     """Shared --slo-ms/--admission/--arrival/--trace handling (serve/fleet)."""
     from .serve.loadgen import read_trace
 
-    kwargs: dict = {
+    return {
         "slo_s": args.slo_ms * 1e-3 if args.slo_ms else None,
         "admission": None if args.admission == "none" else args.admission,
         "arrival": args.arrival or None,
+        "request_trace": read_trace(args.trace) if args.trace else None,
     }
-    if args.trace:
-        kwargs["trace"] = read_trace(args.trace)
-    return kwargs
 
 
 def _autoscale_policy(spec: str, cooldown_ms: float):
@@ -260,56 +258,31 @@ def _autoscale_policy(spec: str, cooldown_ms: float):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.loadgen import fleet_replay, replay
+    from .serve.loadgen import fleet_replay
 
     db = calibration = None
     if args.db:
         db, calibration = _load_tuning(args.db)
-    slo = _slo_kwargs(args)
     tracer, metrics = _obs_sinks(args)
-    if args.gpus:
-        trace = slo.pop("trace", None)
-        report = fleet_replay(
-            _fleet_gpus(args.gpus),
-            args.model,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            dtype=_dtype(args.dtype),
-            policy=args.policy,
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            poisson=args.poisson,
-            request_trace=trace,
-            autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
-            max_chain=args.max_chain,
-            db=db,
-            calibration=calibration,
-            engine=args.engine,
-            tracer=tracer,
-            metrics=metrics,
-            **slo,
-        )
-    else:
-        if args.autoscale:
-            print("error: --autoscale needs a fleet (--gpus)", file=sys.stderr)
-            return 2
-        report = replay(
-            gpu_by_name(args.gpu),
-            args.model,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            dtype=_dtype(args.dtype),
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            poisson=args.poisson,
-            max_chain=args.max_chain,
-            db=db,
-            calibration=calibration,
-            engine=args.engine,
-            tracer=tracer,
-            metrics=metrics,
-            **slo,
-        )
+    gpus = _fleet_gpus(args.gpus) if args.gpus else [gpu_by_name(args.gpu)]
+    report = fleet_replay(
+        gpus,
+        args.model,
+        n_requests=args.requests,
+        rate_rps=args.rate,
+        dtype=_dtype(args.dtype),
+        policy=args.policy,
+        max_batch=args.max_batch,
+        max_delay_s=args.max_delay_ms * 1e-3,
+        autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
+        max_chain=args.max_chain,
+        db=db,
+        calibration=calibration,
+        engine=args.engine,
+        tracer=tracer,
+        metrics=metrics,
+        **_slo_kwargs(args),
+    )
     print(report.describe())
     _export_obs(args, tracer, metrics)
     return 0
@@ -449,7 +422,7 @@ def _write_chaos_out(path: str, report) -> None:
         "availability": report.availability,
         "attainment": report.attainment,
         "n_requests": report.n_requests,
-        "served": len(report.latencies_s),
+        "served": report.served,
         "throughput_img_s": report.throughput_img_s,
         "crashes": fs.crashes if fs else 0,
         "transients": fs.transients if fs else 0,
@@ -474,7 +447,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     db = calibration = None
     if args.db:
         db, calibration = _load_tuning(args.db)
-    slo = _slo_kwargs(args)
     tracer, metrics = _obs_sinks(args)
     report = fleet_replay(
         _fleet_gpus(args.gpus),
@@ -486,8 +458,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spill_factor=args.spill_factor,
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms * 1e-3,
-        poisson=args.poisson,
-        request_trace=slo.pop("trace", None),
         autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
         faults=_fault_plan(args),
         retry=_retry_policy(args),
@@ -498,7 +468,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         workers=args.workers,
         tracer=tracer,
         metrics=metrics,
-        **slo,
+        **_slo_kwargs(args),
     )
     print(report.describe())
     if args.chaos_out:
@@ -652,7 +622,7 @@ _EPILOGS: dict[str, str] = {
     "serve": (
         "examples:\n"
         "  python -m repro.cli serve mobilenet_v2 --requests 64 --rate 5000\n"
-        "  python -m repro.cli serve xception --max-batch 16 --poisson\n"
+        "  python -m repro.cli serve xception --max-batch 16 --arrival poisson\n"
         "  python -m repro.cli serve mobilenet_v2 --gpus RTX,RTX,Orin  # fleet replay\n"
         "  python -m repro.cli serve mobilenet_v2 --slo-ms 5 --admission degrade "
         "--arrival lognormal\n"
@@ -674,7 +644,7 @@ _EPILOGS: dict[str, str] = {
         "  python -m repro.cli fleet --gpus RTX,RTX,RTX,RTX --models mobilenet_v2\n"
         "  python -m repro.cli fleet --gpus GTX,RTX,Orin "
         "--models mobilenet_v2,xception --explain\n"
-        "  python -m repro.cli fleet --gpus RTX,RTX --policy round_robin --poisson\n"
+        "  python -m repro.cli fleet --gpus RTX,RTX --policy round_robin --arrival poisson\n"
         "  python -m repro.cli fleet --gpus RTX --slo-ms 5 --admission degrade "
         "--autoscale 1:4 --cooldown-ms 2\n"
         "  python -m repro.cli fleet --gpus GTX,RTX --db TUNE_zoo.json  # warm start\n"
@@ -739,14 +709,15 @@ def _add_slo_args(p: argparse.ArgumentParser) -> None:
                    choices=["", "uniform", "poisson", "lognormal", "pareto",
                             "diurnal"],
                    default="",
-                   help="arrival process (overrides --poisson); lognormal/"
-                        "pareto are heavy-tailed, diurnal is rate-modulated")
+                   help="arrival process (default uniform spacing); "
+                        "lognormal/pareto are heavy-tailed, diurnal is "
+                        "rate-modulated")
     p.add_argument("--trace", default="",
                    help="JSONL trace file to replay instead of a synthetic "
                         "stream (see repro.serve.loadgen.write_trace)")
     p.add_argument("--autoscale", default="",
                    help="reactive fleet autoscaling bounds as MIN:MAX "
-                        "workers (fleet replays only)")
+                        "workers")
     p.add_argument("--cooldown-ms", type=float, default=0.0,
                    help="autoscaler cooldown between resize actions in ms "
                         "(default 0)")
@@ -847,15 +818,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batch size cap (default 8)")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="micro-batch deadline in ms (default 2.0)")
-    p.add_argument("--poisson", action="store_true",
-                   help="Poisson arrivals instead of uniform spacing")
     _add_slo_args(p)
     p.add_argument("--max-chain", type=int, default=2,
                    help="planner chain cap for served models (default 2)")
     p.add_argument("--gpus", default="",
                    help="comma-separated GPU presets (repeats allowed); when "
-                        "given, replay through a multi-GPU fleet instead of "
-                        "one server")
+                        "given, replay through this fleet instead of a "
+                        "one-worker fleet on --gpu")
     p.add_argument("--policy", choices=["affinity", "round_robin"],
                    default="affinity",
                    help="fleet routing policy (with --gpus; default affinity)")
@@ -914,8 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="micro-batch deadline in ms (default 2.0)")
     p.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
-    p.add_argument("--poisson", action="store_true",
-                   help="Poisson arrivals instead of uniform spacing")
     _add_slo_args(p)
     p.add_argument("--max-chain", type=int, default=2,
                    help="planner chain cap for served models (default 2)")

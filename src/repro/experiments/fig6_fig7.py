@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import ALL_GPUS, GpuSpec
+from ..planner.analytic import fcm_counters, pair_lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, pair_lbl_counters
 from .fusion_cases import FusionCase, select_fusion_cases
 
 __all__ = ["SpeedupPoint", "fcm_vs_lbl_case", "figure6_7"]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GTX1660, RTX_A4000, GpuSpec
+from ..planner.analytic import fcm_counters, lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, lbl_counters
 from .fusion_cases import select_fusion_cases
 
 __all__ = ["BoundRow", "table3"]

@@ -2,7 +2,7 @@
 
 from .blocks import dsc_block, inverted_residual_block, standard_conv
 from .graph import FusionCandidate, GlueSpec, ModelGraph
-from .importer import import_model, import_model_json
+from .importer import import_model
 from .layers import ConvKind, ConvSpec, EpilogueSpec
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "GlueSpec",
     "ModelGraph",
     "import_model",
-    "import_model_json",
     "ConvKind",
     "ConvSpec",
     "EpilogueSpec",

@@ -14,8 +14,6 @@ propagated automatically, so descriptions stay concise:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..core.dtypes import DType
@@ -23,7 +21,7 @@ from ..errors import ShapeError
 from .graph import GlueSpec, ModelGraph
 from .layers import ConvKind, ConvSpec, EpilogueSpec
 
-__all__ = ["import_model", "import_model_json"]
+__all__ = ["import_model"]
 
 _KINDS = {"standard": ConvKind.STANDARD, "std": ConvKind.STANDARD,
           "dw": ConvKind.DEPTHWISE, "pw": ConvKind.POINTWISE}
@@ -87,9 +85,3 @@ def import_model(desc: Mapping[str, Any], dtype: DType = DType.FP32) -> ModelGra
         c, h, w = spec.out_channels, spec.out_h, spec.out_w
     graph.validate()
     return graph
-
-
-def import_model_json(path: str | Path, dtype: DType = DType.FP32) -> ModelGraph:
-    """Load a model description from a JSON file and import it."""
-    with open(path, encoding="utf-8") as fh:
-        return import_model(json.load(fh), dtype=dtype)

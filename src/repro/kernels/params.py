@@ -10,6 +10,7 @@ setup where a layer's output scale becomes the next layer's input scale
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,12 @@ class LayerParams:
 
 
 def _rng_for(spec: ConvSpec, seed: int) -> np.random.Generator:
-    """Deterministic per-layer RNG (stable across runs and processes)."""
-    key = abs(hash((spec.name, spec.kind.value, spec.in_channels, spec.out_channels))) % (2**31)
+    """Deterministic per-layer RNG (stable across runs and processes).
+
+    The key is a CRC-32 of the layer's identifying fields, never builtin
+    ``hash()``, which Python salts per process (``PYTHONHASHSEED``)."""
+    canon = f"{spec.name}|{spec.kind.value}|{spec.in_channels}|{spec.out_channels}"
+    key = zlib.crc32(canon.encode("utf-8")) % (2**31)
     return np.random.default_rng(seed ^ key)
 
 

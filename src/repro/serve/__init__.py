@@ -26,9 +26,10 @@ session -> report) into a request-serving layer:
   clock by a :class:`FaultInjector`;
 * :mod:`repro.serve.loadgen` — deterministic arrival streams (uniform,
   Poisson, heavy-tailed lognormal/Pareto, diurnal), JSONL trace files, and
-  the discrete-event :func:`replay` / :func:`fleet_replay` harnesses
-  reporting img/s, nearest-rank p50/p99 latency, and SLO attainment
-  (:func:`attainment_curve` sweeps it against offered load).
+  the one discrete-event replay loop, :func:`fleet_replay` (a single
+  server is a one-worker fleet), reporting img/s, nearest-rank p50/p99
+  latency, energy, and SLO attainment (:func:`attainment_curve` sweeps it
+  against offered load).
 """
 
 from .admission import (
@@ -63,7 +64,6 @@ from .loadgen import (
     AttainmentPoint,
     FakeClock,
     FleetStreamReport,
-    StreamReport,
     TraceRequest,
     WorkerSloStats,
     arrival_times,
@@ -77,7 +77,6 @@ from .loadgen import (
     pareto_arrival_times,
     percentile,
     read_trace,
-    replay,
     write_trace,
 )
 from .server import InferenceRequest, InferenceResult, ModelServer, ServerStats
@@ -113,7 +112,6 @@ __all__ = [
     "AttainmentPoint",
     "FakeClock",
     "FleetStreamReport",
-    "StreamReport",
     "TraceRequest",
     "WorkerSloStats",
     "arrival_times",
@@ -127,7 +125,6 @@ __all__ = [
     "pareto_arrival_times",
     "percentile",
     "read_trace",
-    "replay",
     "write_trace",
     "InferenceRequest",
     "InferenceResult",

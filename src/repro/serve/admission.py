@@ -137,9 +137,9 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Judge one offered request against ``slo_s`` and tally the outcome.
 
-        ``occupancy_s`` is the target device's remaining busy time (the fleet
-        path passes :meth:`FleetWorker.occupancy_s`; the single-server replay
-        models occupancy by advancing its clock, so it passes 0).
+        ``occupancy_s`` is the target device's remaining busy time
+        (``fleet_replay`` passes :meth:`FleetWorker.occupancy_s` plus any
+        clock drift past the arrival instant; direct callers default to 0).
         ``throttle`` is the target worker's slowdown factor under faults, so
         admission sheds earlier on a thermally degraded worker.
         """

@@ -430,8 +430,11 @@ class FaultInjector:
     - :meth:`finalize` once drained, for the :class:`FaultStats`.
 
     Submission and latency/SLO accounting stay in the replay via the
-    ``submit`` / ``commit`` callbacks bound at construction, so the
-    injector never duplicates the no-fault path's arithmetic.
+    ``submit`` / ``commit`` callbacks bound at construction.  ``commit``
+    is the replay's one accounting path, called as ``commit(worker,
+    result, start, exec_s, flush_now, arrival_t, slo_s)``: the fault-free
+    path calls it at flush, the injector when a batch settles, so the
+    injector decides only *when* a result commits.
     """
 
     fleet: "Fleet"
@@ -709,7 +712,15 @@ class FaultInjector:
                 self.hedges_won += 1
                 self._count("repro_hedges_total", outcome="won")
             assert self.commit is not None
-            self.commit(worker, result, flight.start, flight.exec_s, flight.flush_now, logical)
+            self.commit(
+                worker,
+                result,
+                flight.start,
+                flight.exec_s,
+                flight.flush_now,
+                logical.arrival_t,
+                logical.slo_s,
+            )
             self._cancel_siblings(logical, now)
 
     def _cancel_siblings(self, logical, now: float) -> None:

@@ -328,9 +328,10 @@ class Fleet:
     ``gpus`` may repeat (homogeneous scale-out) or mix presets
     (heterogeneous, e.g. ``[RTX_A4000, ORIN, ORIN]``); every worker gets its
     own :class:`ModelServer` sharing the fleet's clock.  The queued path
-    mirrors the single-server API (``enqueue`` / ``step`` / ``pending`` /
-    ``next_deadline``) so :func:`repro.serve.loadgen.fleet_replay` can drive
-    it with the same discrete-event loop, and ``submit_analytic`` gives the
+    mirrors the :class:`ModelServer` API (``enqueue`` / ``step`` /
+    ``pending`` / ``next_deadline``), which is what
+    :func:`repro.serve.loadgen.fleet_replay`, the one discrete-event replay
+    loop, drives; and ``submit_analytic`` gives the
     synchronous routed path the CLI batch sweeps use.
     """
 

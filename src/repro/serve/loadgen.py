@@ -1,13 +1,15 @@
-"""Synthetic request streams, trace files, and a discrete-event replay harness.
+"""Synthetic request streams, trace files, and the discrete-event replay loop.
 
 The serving benchmarks need latency *distributions*, not just batch
 throughput: a request's latency is its queue wait (micro-batch formation +
-device busy time) plus its batch's simulated execution.  :func:`replay`
-drives a :class:`~repro.serve.server.ModelServer` with a deterministic
-arrival stream on a :class:`FakeClock`, advancing simulated time by each
-flushed batch's execution latency so device occupancy back-pressures later
-arrivals — a small discrete-event simulation in the spirit of serving-system
-load generators.
+device busy time) plus its batch's simulated execution.  :func:`fleet_replay`
+is the one replay loop: it drives a :class:`~repro.serve.fleet.Fleet` (one
+worker for a single server, several for a multi-GPU fleet) with a
+deterministic arrival stream on a shared :class:`FakeClock`.  Each worker
+keeps its own device-occupancy timeline (``busy_until``): a flushed batch
+starts when its device frees up, so a busy device back-pressures later
+requests through their queue wait — a small discrete-event simulation in
+the spirit of serving-system load generators.
 
 Beyond the classic uniform/Poisson streams, the SLO layer adds:
 
@@ -24,8 +26,8 @@ Beyond the classic uniform/Poisson streams, the SLO layer adds:
 * **SLO accounting** — per-request deadlines (``slo_s``), admission control
   (:mod:`repro.serve.admission`), reactive autoscaling
   (:mod:`repro.serve.autoscale`), and attainment/shed/degraded/late counts
-  in :class:`StreamReport` / :class:`FleetStreamReport`, swept over offered
-  load by :func:`attainment_curve`.
+  in :class:`FleetStreamReport`, swept over offered load by
+  :func:`attainment_curve`.
 """
 
 from __future__ import annotations
@@ -41,18 +43,16 @@ import numpy as np
 from ..core.dtypes import DType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
-from ..obs import resolve_metrics, resolve_tracer
 from .admission import AdmissionController, admission_controller
 from .autoscale import AutoscalePolicy, ScaleEvent
 from .cache import PlanCache
 from .faults import FaultInjector, FaultPlan, FaultStats, RetryPolicy
 from .fleet import Fleet, FleetWorker, RouteDecision, WorkerStats
-from .server import InferenceResult, ModelServer
+from .server import InferenceResult
 
 __all__ = [
     "ARRIVAL_KINDS",
     "FakeClock",
-    "StreamReport",
     "FleetStreamReport",
     "WorkerSloStats",
     "TraceRequest",
@@ -68,7 +68,6 @@ __all__ = [
     "hedge_delay",
     "capacity_rps",
     "attainment_curve",
-    "replay",
     "fleet_replay",
 ]
 
@@ -345,306 +344,6 @@ def read_trace(path: "str | Path") -> list[TraceRequest]:
     return requests
 
 
-# ---- reports ------------------------------------------------------------------
-
-
-@dataclass
-class StreamReport:
-    """Result of replaying one request stream against a server.
-
-    ``latency_p50_s``/``latency_p99_s`` follow the nearest-rank-above
-    convention (see :func:`percentile`) over *served* requests; both are NaN
-    when everything was shed.  ``n_requests`` counts *offered* requests;
-    ``shed`` of them were rejected by admission, the rest were served
-    (``degraded`` of those at the fallback precision, ``late`` past their
-    SLO, ``attained`` within it).
-    """
-
-    model: str
-    gpu: str
-    dtype: str
-    n_requests: int
-    max_batch: int
-    rate_rps: float
-    duration_s: float
-    throughput_img_s: float
-    latency_p50_s: float
-    latency_p99_s: float
-    mean_batch: float
-    energy_per_image_j: float
-    planner_invocations: int
-    latencies_s: list[float] = field(default_factory=list)
-    slo_s: float | None = None
-    admission: str | None = None
-    shed: int = 0
-    degraded: int = 0
-    late: int = 0
-    attained: int = 0
-
-    @property
-    def served(self) -> int:
-        return self.n_requests - self.shed
-
-    @property
-    def attainment(self) -> float | None:
-        """Fraction of *offered* requests served within their SLO (shed
-        requests count against attainment); None when no SLO was in play."""
-        if self.slo_s is None:
-            return None
-        return self.attained / self.n_requests if self.n_requests else 0.0
-
-    def describe(self) -> str:
-        line = (
-            f"{self.model} on {self.gpu} ({self.dtype}): {self.n_requests} reqs "
-            f"@ {self.rate_rps:g} rps, max_batch={self.max_batch} -> "
-            f"{self.throughput_img_s:.0f} img/s, "
-            f"p50 {self.latency_p50_s * 1e3:.3f} ms, "
-            f"p99 {self.latency_p99_s * 1e3:.3f} ms, "
-            f"mean batch {self.mean_batch:.1f}, "
-            f"{self.energy_per_image_j * 1e3:.3f} mJ/img, "
-            f"{self.planner_invocations} planning pass(es)"
-        )
-        if self.slo_s is not None:
-            line += (
-                f"\n  SLO {self.slo_s * 1e3:g} ms"
-                + (f" [admission={self.admission}]" if self.admission else "")
-                + f": attainment {self.attainment:.1%} "
-                f"({self.attained} attained, {self.late} late, "
-                f"{self.shed} shed, {self.degraded} degraded)"
-            )
-        return line
-
-
-# ---- single-server replay -----------------------------------------------------
-
-
-def _stream_entries(
-    trace: Sequence[TraceRequest] | None,
-    model: str | None,
-    n_requests: int | None,
-    rate_rps: float | None,
-    dtype: DType,
-    slo_s: float | None,
-    arrival: str | None,
-    poisson: bool,
-    seed: int,
-) -> tuple[list[TraceRequest], str, float]:
-    """Normalize a replay's inputs into (entries, model label, offered rate)."""
-    if trace is not None:
-        entries = list(trace)
-        _validate_trace(entries)
-        label = ",".join(dict.fromkeys(e.model for e in entries))
-        span = entries[-1].t - entries[0].t
-        rate = (len(entries) - 1) / span if span > 0 else float(len(entries))
-        return entries, label, rate
-    if model is None or n_requests is None or rate_rps is None:
-        raise PlanError("replay needs either a trace or (model, n_requests, rate_rps)")
-    kind = arrival if arrival is not None else ("poisson" if poisson else "uniform")
-    times = generate_arrivals(kind, n_requests, rate_rps, seed=seed)
-    entries = [
-        TraceRequest(t=t, model=model, dtype=dtype.value, slo_s=slo_s)
-        for t in times
-    ]
-    return entries, model, rate_rps
-
-
-def replay(
-    gpu: GpuSpec,
-    model: str | None = None,
-    n_requests: int | None = None,
-    rate_rps: float | None = None,
-    dtype: DType = DType.FP32,
-    *,
-    max_batch: int = 8,
-    max_delay_s: float = 2e-3,
-    poisson: bool = False,
-    arrival: str | None = None,
-    trace: Sequence[TraceRequest] | None = None,
-    slo_s: float | None = None,
-    admission: "str | AdmissionController | None" = None,
-    max_chain: int = 2,
-    seed: int = 0,
-    server: ModelServer | None = None,
-    db=None,
-    calibration=None,
-    engine: str | None = None,
-    tracer=None,
-    metrics=None,
-) -> StreamReport:
-    """Replay a synthetic stream and report throughput + latency percentiles.
-
-    Builds a fresh :class:`ModelServer` on a :class:`FakeClock` (pass
-    ``server`` to reuse one — it must have been constructed with a FakeClock
-    as both ``clock`` and ``sleep``).  Requests are analytic (counters-only),
-    so full-size models replay in milliseconds; ``engine`` is threaded to the
-    server for streams that carry real tensors.
-
-    ``arrival`` picks a generator from :data:`ARRIVAL_KINDS` (overriding the
-    legacy ``poisson`` flag); ``trace`` replays explicit
-    :class:`TraceRequest` entries instead (``model``/``n_requests``/
-    ``rate_rps`` are then ignored).  ``slo_s`` stamps a deadline on every
-    generated request (a trace entry's own ``slo_s`` wins), which arms the
-    server's deadline-aware flushing; ``admission`` (a policy name or an
-    :class:`~repro.serve.admission.AdmissionController`) sheds or degrades
-    requests whose projected latency would bust their SLO.
-
-    ``tracer``/``metrics`` (a :class:`repro.obs.Tracer` /
-    :class:`repro.obs.MetricsRegistry`) capture the replay as a
-    deterministic timeline: the tracer is bound to the replay's FakeClock,
-    so two identical invocations export byte-identical traces.  When
-    reusing a ``server``, pass the sinks at its construction instead — the
-    server's own sinks always win.
-    """
-    clock = FakeClock()
-    if server is None:
-        server = ModelServer(
-            gpu,
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            max_chain=max_chain,
-            clock=clock,
-            sleep=clock.sleep,
-            db=db,
-            calibration=calibration,
-            engine=engine,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    elif isinstance(server.clock, FakeClock):
-        clock = server.clock
-    else:
-        raise PlanError("replay needs a server driven by a FakeClock")
-    tracer = server.tracer
-    metrics = server.metrics
-    if tracer.enabled:
-        # Span/instant timestamps come from the replay's simulated clock,
-        # which is what makes the exported trace byte-identical across runs.
-        tracer.clock = clock
-
-    entries, model_label, offered_rate = _stream_entries(
-        trace, model, n_requests, rate_rps, dtype, slo_s, arrival, poisson, seed
-    )
-    controller = admission_controller(admission)
-    results: list[InferenceResult] = []
-    #: device-busy delay between a request's *arrival* and its enqueue (the
-    #: clock may already sit past the arrival instant after executing earlier
-    #: batches); the server's wait_s starts at enqueue, so this is added back
-    #: when reporting latency.
-    backlog_wait: dict[int, float] = {}
-    slo_of: dict[int, float | None] = {}
-    shed = degraded = 0
-
-    def flush_due() -> None:
-        flushed = server.step()
-        if flushed:
-            results.extend(flushed)
-            # Device occupancy: simulated execution takes simulated time.
-            for seq in sorted({r.batch_seq for r in flushed}):
-                clock.advance(next(r.exec_s for r in flushed if r.batch_seq == seq))
-
-    for entry in entries:
-        t = entry.t
-        # Any partial batch whose deadline expires before this arrival
-        # flushes at its deadline, not lazily at the next enqueue.
-        while True:
-            due = server.next_deadline()
-            if due is None or due > t:
-                break
-            clock.t = max(clock.t, due)
-            before = len(results)
-            flush_due()
-            if len(results) == before:
-                break
-        clock.t = max(clock.t, t)
-        req_dtype = DType(entry.dtype)
-        req_slo = entry.slo_s if entry.slo_s is not None else slo_s
-        if controller is not None and req_slo is not None:
-            # The clock running ahead of this arrival is device busy time the
-            # request has *already* waited out — SLO budget spent before the
-            # admission decision is even made.
-            decision = controller.decide(
-                server,
-                entry.model,
-                req_dtype,
-                req_slo,
-                occupancy_s=max(0.0, clock.t - t),
-            )
-            if decision.action in ("shed", "degrade") and (
-                tracer.enabled or metrics.enabled
-            ):
-                tracer.instant(
-                    f"admission.{decision.action}",
-                    t_s=clock.t,
-                    pid=server.lane,
-                    model=entry.model,
-                    slo_s=req_slo,
-                )
-                metrics.counter(
-                    "repro_admission_total", help="Admission verdicts by action"
-                ).inc(action=decision.action, worker=server.lane)
-            if decision.action == "shed":
-                shed += 1
-                continue
-            if decision.action == "degrade":
-                req_dtype = controller.degrade_dtype
-                degraded += 1
-        rid = server.enqueue(
-            entry.model, dtype=req_dtype, slo_s=req_slo, priority=entry.priority
-        )
-        backlog_wait[rid] = clock.t - t
-        slo_of[rid] = req_slo
-        flush_due()
-
-    while server.pending():
-        due = server.next_deadline()
-        if due is not None:
-            clock.t = max(clock.t, due)
-        flush_due()
-
-    latencies = sorted(r.latency_s + backlog_wait[r.request_id] for r in results)
-    attained = late = 0
-    slo_in_play = slo_s is not None or any(e.slo_s is not None for e in entries)
-    if slo_in_play:
-        for r in results:
-            want = slo_of[r.request_id]
-            if want is None:
-                # best-effort requests in a mixed trace have no deadline to
-                # miss: served counts as attained.
-                attained += 1
-            elif r.latency_s + backlog_wait[r.request_id] <= want:
-                attained += 1
-            else:
-                late += 1
-    duration = max(clock.t - entries[0].t, 1e-12)
-    first_slo = next((e.slo_s for e in entries if e.slo_s is not None), None)
-    return StreamReport(
-        model=model_label,
-        gpu=gpu.name,
-        dtype=dtype.value,
-        n_requests=len(entries),
-        max_batch=server.max_batch,
-        rate_rps=offered_rate,
-        duration_s=duration,
-        throughput_img_s=len(results) / duration,
-        latency_p50_s=_percentile_or_nan(latencies, 50),
-        latency_p99_s=_percentile_or_nan(latencies, 99),
-        mean_batch=server.stats.mean_batch,
-        energy_per_image_j=(
-            float(np.mean([r.energy_per_image_j for r in results]))
-            if results
-            else float("nan")
-        ),
-        planner_invocations=server.cache.stats.planner_invocations,
-        latencies_s=latencies,
-        slo_s=slo_s if slo_s is not None else first_slo,
-        admission=controller.policy if controller is not None else None,
-        shed=shed,
-        degraded=degraded,
-        late=late,
-        attained=attained,
-    )
-
-
 # ---- capacity + attainment sweeps ---------------------------------------------
 
 
@@ -710,8 +409,8 @@ def attainment_curve(
     )
     points: list[AttainmentPoint] = []
     for overload in overloads:
-        report = replay(
-            gpu,
+        report = fleet_replay(
+            [gpu],
             model,
             n_requests,
             base * overload,
@@ -757,12 +456,17 @@ class WorkerSloStats:
 
 @dataclass
 class FleetStreamReport:
-    """Result of replaying one request stream against a whole fleet.
+    """Result of replaying one request stream against a fleet (a single
+    server is a one-worker fleet).
 
-    Percentiles follow the same nearest-rank-above convention as
-    :class:`StreamReport` (see :func:`percentile`).  ``plan_hit_rate`` is the
-    fleet-wide plan-cache hit rate — the number the affinity-vs-round-robin
-    comparison pivots on.
+    ``latency_p50_s``/``latency_p99_s`` follow the nearest-rank-above
+    convention (see :func:`percentile`) over *served* requests; both are NaN
+    when nothing was served.  ``n_requests`` counts *offered* requests;
+    ``shed`` of them were rejected by admission (``degraded`` of the served
+    ones ran at the fallback precision, ``late`` past their SLO,
+    ``attained`` within it).  ``plan_hit_rate`` is the fleet-wide
+    plan-cache hit rate — the number the affinity-vs-round-robin comparison
+    pivots on.
     """
 
     models: tuple[str, ...]
@@ -777,6 +481,9 @@ class FleetStreamReport:
     latency_p50_s: float
     latency_p99_s: float
     mean_batch: float
+    #: mean simulated energy per served image, over results in commit order
+    #: (NaN when nothing was served).
+    energy_per_image_j: float
     plan_hit_rate: float
     planner_invocations: int
     #: the fleet's per-worker accounting snapshot at end of replay
@@ -806,6 +513,11 @@ class FleetStreamReport:
     fault_stats: "FaultStats | None" = None
 
     @property
+    def served(self) -> int:
+        """Requests whose results committed (offered minus shed and lost)."""
+        return len(self.latencies_s)
+
+    @property
     def availability(self) -> float:
         """Fleet availability over the replay window (1.0 without faults)."""
         return self.fault_stats.availability if self.fault_stats is not None else 1.0
@@ -833,6 +545,7 @@ class FleetStreamReport:
             f"p50 {self.latency_p50_s * 1e3:.3f} ms, "
             f"p99 {self.latency_p99_s * 1e3:.3f} ms, "
             f"mean batch {self.mean_batch:.1f}, "
+            f"{self.energy_per_image_j * 1e3:.3f} mJ/img, "
             f"plan hit rate {self.plan_hit_rate:.0%} "
             f"({self.planner_invocations} planning pass(es){warm})"
         ]
@@ -882,7 +595,6 @@ def fleet_replay(
     spill_factor: float = 2.0,
     max_batch: int = 8,
     max_delay_s: float = 2e-3,
-    poisson: bool = False,
     arrival: str | None = None,
     request_trace: Sequence[TraceRequest] | None = None,
     slo_s: float | None = None,
@@ -904,22 +616,29 @@ def fleet_replay(
     tracer=None,
     metrics=None,
 ) -> FleetStreamReport:
-    """Replay one stream over a multi-GPU fleet on a shared :class:`FakeClock`.
+    """Replay one stream over a fleet on a shared :class:`FakeClock`; a
+    single server is ``fleet_replay([gpu], model, ...)``.
 
     Request ``i`` targets ``models[i % len(models)]`` — a deterministic
     multi-model trace (or pass ``request_trace`` to replay explicit
-    :class:`TraceRequest` entries).  Unlike the single-server :func:`replay`,
-    the shared clock never advances by execution time: workers run in
-    parallel, so each :class:`FleetWorker` keeps its own occupancy timeline
-    (``busy_until``).  A flushed batch starts when its device frees up; a
-    request's latency is queue wait + device wait + batched execution.
-    Everything (arrivals, routing, occupancy, admission, scaling) is
-    deterministic, so replaying the same stream over a fresh
-    identically-configured fleet reproduces the report exactly.
+    :class:`TraceRequest` entries).  ``arrival`` picks the generator from
+    :data:`ARRIVAL_KINDS` (default uniform spacing).  The shared clock
+    never advances by execution time: workers run in parallel, so each
+    :class:`FleetWorker` keeps its own occupancy timeline (``busy_until``).
+    A flushed batch starts when its device frees up; a request's latency is
+    queue wait + device wait + batched execution.  Everything (arrivals,
+    routing, occupancy, admission, scaling) is deterministic, so replaying
+    the same stream over a fresh identically-configured fleet reproduces
+    the report exactly.  Requests are analytic (counters-only), so
+    full-size models replay in milliseconds.
 
-    ``slo_s``/``admission`` mirror :func:`replay` (admission judges the
-    request against the worker routing picked for it, occupancy included;
-    a degraded request stays on that worker at the fallback precision).
+    ``slo_s`` stamps a deadline on every generated request (a trace entry's
+    own ``slo_s`` wins), which arms deadline-aware flushing.  ``admission``
+    (a policy name or an :class:`~repro.serve.admission.
+    AdmissionController`) sheds or degrades requests whose projected
+    latency would bust their SLO; it judges the request against the worker
+    routing picked for it, occupancy included, and a degraded request stays
+    on that worker at the fallback precision.
     ``autoscale`` binds a reactive :class:`~repro.serve.autoscale.
     Autoscaler` to the fleet; it observes the backlog at every arrival and
     during the drain, and its decisions land in ``scale_events``.
@@ -931,8 +650,10 @@ def fleet_replay(
     stream — are identical for every worker count; only boot wall-clock
     changes.
 
-    ``tracer``/``metrics`` mirror :func:`replay`: the tracer binds to the
-    shared FakeClock and every worker, the scheduler, and the autoscaler
+    ``tracer``/``metrics`` (a :class:`repro.obs.Tracer` /
+    :class:`repro.obs.MetricsRegistry`) capture the replay as a
+    deterministic timeline: the tracer binds to the shared FakeClock and
+    every worker, the scheduler, and the autoscaler
     emit into the same sinks, so an autoscaled fleet replay exports
     byte-identical traces across identical invocations.  When reusing a
     ``fleet``, pass the sinks at its construction instead.
@@ -990,8 +711,7 @@ def fleet_replay(
         model_list = (models,) if isinstance(models, str) else tuple(models)
         if not model_list:
             raise PlanError("fleet_replay needs at least one model")
-        kind = arrival if arrival is not None else ("poisson" if poisson else "uniform")
-        times = generate_arrivals(kind, n_requests, rate_rps, seed=seed)
+        times = generate_arrivals(arrival or "uniform", n_requests, rate_rps, seed=seed)
         entries = [
             TraceRequest(
                 t=t,
@@ -1017,6 +737,7 @@ def fleet_replay(
     scaler = autoscale.bind(fleet) if autoscale is not None else None
     slo_in_play = slo_s is not None or any(e.slo_s is not None for e in entries)
     latencies: list[float] = []
+    energies: list[float] = []
     #: (worker_id, worker-local request id) -> (arrival instant, slo)
     meta: dict[tuple[int, int], tuple[float, float | None]] = {}
     attained = late = 0
@@ -1027,8 +748,36 @@ def fleet_replay(
             name, {"served": 0, "attained": 0, "late": 0, "shed": 0, "degraded": 0}
         )
 
-    def handle(flushed: list[tuple[FleetWorker, InferenceResult]], now: float) -> None:
+    def commit(worker, r, start, exec_s, flush_now, arrival_t, want) -> None:
+        """Latency/SLO accounting for one result, flushed at ``flush_now``
+        and run on ``worker`` from ``start`` for ``exec_s``.  The fault-free
+        path commits at flush; with an injector armed, the flight ledger
+        commits when the batch settles (a crash in between voids it)."""
         nonlocal attained, late
+        latency = r.wait_s + (start - flush_now) + exec_s
+        latencies.append(latency)
+        energies.append(r.energy_per_image_j)
+        if not slo_in_play:
+            return
+        counts = worker_counts(worker.name)
+        counts["served"] += 1
+        if want is None:
+            # best-effort requests in a mixed trace have no deadline to
+            # miss: served counts as attained.
+            attained += 1
+            counts["attained"] += 1
+            return
+        # The SLO clock starts at *arrival*: wait_s starts at enqueue
+        # (= flush_now - wait_s), so add back any arrival->enqueue gap.
+        gap = max(0.0, (flush_now - r.wait_s) - arrival_t)
+        if latency + gap <= want:
+            attained += 1
+            counts["attained"] += 1
+        else:
+            late += 1
+            counts["late"] += 1
+
+    def handle(flushed: list[tuple[FleetWorker, InferenceResult]], now: float) -> None:
         # Batches start in flush order on their own device; occupancy is
         # per worker, so concurrently flushed workers overlap in time.
         seen: list[tuple[int, int]] = []
@@ -1063,36 +812,13 @@ def fleet_replay(
                     batch_size=len(batch),
                 )
             if injector is not None:
-                # Chaos path: the commit is deferred until the batch
-                # settles at start + exec_s, so a crash in between can
-                # void it (the injector calls chaos_commit on success).
+                # Chaos path: the injector decides *when* the batch commits
+                # (at its settle, start + exec_s) and calls commit then.
                 injector.on_flush(worker, batch, start, exec_s, now)
                 continue
             for r in batch:
-                latency = r.wait_s + (start - now) + exec_s
-                latencies.append(latency)
-                if not slo_in_play:
-                    continue
-                arrival_t, want = meta.get(
-                    (worker.worker_id, r.request_id), (None, None)
-                )
-                counts = worker_counts(worker.name)
-                counts["served"] += 1
-                if want is None:
-                    # best-effort requests in a mixed trace have no deadline
-                    # to miss: served counts as attained.
-                    attained += 1
-                    counts["attained"] += 1
-                    continue
-                # The SLO clock starts at *arrival*: wait_s starts at enqueue
-                # (= now - wait_s), so add back any arrival->enqueue gap.
-                gap = max(0.0, (now - r.wait_s) - arrival_t)
-                if latency + gap <= want:
-                    attained += 1
-                    counts["attained"] += 1
-                else:
-                    late += 1
-                    counts["late"] += 1
+                arrival_t, want = meta.get((worker.worker_id, r.request_id), (None, None))
+                commit(worker, r, start, exec_s, now, arrival_t, want)
 
     def pump(now: float) -> int:
         """Flush due micro-batches once; returns how many results flushed."""
@@ -1120,29 +846,6 @@ def fleet_replay(
         injector.register(target, rid, logical, is_hedge=is_hedge)
         return True
 
-    def chaos_commit(worker, r, start, exec_s, flush_now, logical) -> None:
-        """Latency/SLO accounting for one settled result — the same
-        arithmetic as the fault-free path, keyed by the logical request's
-        original arrival instant and SLO."""
-        nonlocal attained, late
-        latency = r.wait_s + (start - flush_now) + exec_s
-        latencies.append(latency)
-        if not slo_in_play:
-            return
-        counts = worker_counts(worker.name)
-        counts["served"] += 1
-        if logical.slo_s is None:
-            attained += 1
-            counts["attained"] += 1
-            return
-        gap = max(0.0, (flush_now - r.wait_s) - logical.arrival_t)
-        if latency + gap <= logical.slo_s:
-            attained += 1
-            counts["attained"] += 1
-        else:
-            late += 1
-            counts["late"] += 1
-
     injector: FaultInjector | None = None
     if faults is not None or retry is not None:
         injector = FaultInjector(
@@ -1154,7 +857,7 @@ def fleet_replay(
             breaker_threshold=breaker_threshold,
             breaker_reset_s=breaker_reset_s,
             submit=chaos_submit,
-            commit=chaos_commit,
+            commit=commit,
             tracer=tracer,
             metrics=metrics,
         )
@@ -1278,6 +981,7 @@ def fleet_replay(
     fault_stats = (
         injector.finalize(finish, duration) if injector is not None else None
     )
+    energy = float(np.mean(energies)) if energies else float("nan")
     latencies.sort()
     first_slo = next((e.slo_s for e in entries if e.slo_s is not None), None)
     return FleetStreamReport(
@@ -1293,6 +997,7 @@ def fleet_replay(
         latency_p50_s=_percentile_or_nan(latencies, 50),
         latency_p99_s=_percentile_or_nan(latencies, 99),
         mean_batch=stats.mean_batch,
+        energy_per_image_j=energy,
         plan_hit_rate=stats.plan_hit_rate,
         planner_invocations=stats.planner_invocations,
         per_worker=stats.per_worker,

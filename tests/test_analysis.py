@@ -166,6 +166,19 @@ class TestUnseededRngRule:
         ), rules="RPR002")
         assert findings == []
 
+    def test_flags_builtin_hash_outside_dunder_hash(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "import numpy as np\n"
+            "class Key:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.a, self.b))\n"
+            "def layer_rng(name, seed):\n"
+            "    return np.random.default_rng(seed ^ (hash(name) % 2**31))\n"
+        ), rules="RPR002")
+        assert _rule_ids(findings) == {"RPR002"}
+        assert [f.line for f in findings] == [6]
+        assert "salted per process" in findings[0].message
+
 
 class TestSerializerOrderRule:
     """RPR003 — sorted iteration in functions reachable from serializers."""

@@ -63,12 +63,14 @@ def test_help_epilog_has_examples(cmd, capsys):
 
 
 def test_serve_command(capsys, tiny_model):
-    assert main([
-        "serve", tiny_model, "--gpu", "GTX",
-        "--requests", "16", "--rate", "100000", "--max-batch", "4",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "img/s" in out and "1 planning pass" in out
+    # A single --gpu is a one-worker fleet, so it autoscales like one.
+    for extra in ([], ["--autoscale", "1:2"]):
+        assert main([
+            "serve", tiny_model, "--gpu", "GTX",
+            "--requests", "16", "--rate", "100000", "--max-batch", "4", *extra,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "img/s" in out and "1 planning pass" in out
 
 
 def test_bench_serve_command(capsys, tiny_model):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
-from repro.experiments.analytic import fcm_counters, lbl_counters, pair_lbl_counters
 from repro.experiments.fig1 import figure1
 from repro.experiments.fig10_fig11 import end_to_end_point
 from repro.experiments.fig6_fig7 import fcm_vs_lbl_case, figure6_7
@@ -16,6 +15,7 @@ from repro.experiments.fusion_cases import select_fusion_cases, table2_rows
 from repro.experiments.reporting import format_table
 from repro.experiments.table3 import table3
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.planner.analytic import fcm_counters, lbl_counters, pair_lbl_counters
 
 
 @pytest.fixture(scope="module")

@@ -183,7 +183,7 @@ class TestFleetReplay:
     def test_replay_is_deterministic(self):
         """Acceptance: the same Poisson stream over a 4-worker fleet twice
         yields identical FleetStreamReports (shared FakeClock, no real time)."""
-        kw = dict(n_requests=48, rate_rps=2e5, poisson=True, max_batch=8)
+        kw = dict(n_requests=48, rate_rps=2e5, arrival="poisson", max_batch=8)
         first = fleet_replay(HETERO, ["tiny_a", "tiny_b"], **kw)
         second = fleet_replay(HETERO, ["tiny_a", "tiny_b"], **kw)
         assert first == second

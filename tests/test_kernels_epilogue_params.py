@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +73,35 @@ class TestLayerParams:
         c = make_layer_params(spec, seed=4)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert not np.array_equal(a.weights, c.weights)
+
+    def test_weights_identical_across_hash_seeds(self):
+        """Layer seeds must not depend on Python's per-process string-hash
+        salt: one model's INT8 weights and scales, materialized in two
+        processes under different ``PYTHONHASHSEED``s, digest identically."""
+        script = (
+            "import hashlib\n"
+            "from repro.core.dtypes import DType\n"
+            "from repro.models.zoo import build_model\n"
+            "from repro.runtime.network_params import materialize_network\n"
+            "params = materialize_network(build_model('mobilenet_v1'), DType.INT8)\n"
+            "digest = hashlib.sha256()\n"
+            "for name in sorted(params.layers):\n"
+            "    digest.update(params[name].weights.tobytes())\n"
+            "    digest.update(repr(params[name].out_scale).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_weight_shapes(self):
         assert make_layer_params(pw_spec(c_in=8, c_out=16)).weights.shape == (16, 8)

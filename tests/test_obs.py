@@ -8,8 +8,8 @@ Covers the acceptance criteria of the observability PR:
 * **exporters** — Chrome-trace JSON and Prometheus text are schema-valid
   and byte-stable for identical contents; histogram bucket boundaries
   survive a canonical JSON round trip;
-* **determinism** — replaying the same stream twice (single server and an
-  autoscaled fleet) produces *byte-identical* trace JSON and metrics text;
+* **determinism** — replaying the same stream twice (a one-worker fleet and
+  an autoscaled fleet) produces *byte-identical* trace JSON and metrics text;
 * **zero overhead** — with the default null sinks every report (stream,
   fleet, tuning DB) is field/byte-identical to an instrumented run, so
   observability can never perturb what it measures;
@@ -44,7 +44,7 @@ from repro.obs import (
     write_chrome_trace,
     write_prometheus,
 )
-from repro.serve import AutoscalePolicy, FakeClock, capacity_rps, fleet_replay, replay
+from repro.serve import AutoscalePolicy, FakeClock, capacity_rps, fleet_replay
 
 SEED = 7
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -300,8 +300,8 @@ def _cold_memo():
 def _traced_replay():
     _cold_memo()
     tracer, metrics = Tracer(), MetricsRegistry()
-    report = replay(
-        GTX1660, "tiny_a", n_requests=24, rate_rps=20000.0, max_batch=4,
+    report = fleet_replay(
+        [GTX1660], "tiny_a", n_requests=24, rate_rps=20000.0, max_batch=4,
         slo_s=5e-3, admission="shed", tracer=tracer, metrics=metrics,
     )
     return report, chrome_trace_json(tracer), prometheus_text(metrics)
@@ -367,9 +367,9 @@ class TestReplayDeterminism:
 class TestZeroOverhead:
     def test_replay_report_unperturbed_by_tracing(self, tiny_zoo):
         kwargs = dict(n_requests=24, rate_rps=20000.0, max_batch=4)
-        plain = replay(GTX1660, "tiny_a", **kwargs)
-        traced = replay(
-            GTX1660, "tiny_a", tracer=Tracer(), metrics=MetricsRegistry(),
+        plain = fleet_replay([GTX1660], "tiny_a", **kwargs)
+        traced = fleet_replay(
+            [GTX1660], "tiny_a", tracer=Tracer(), metrics=MetricsRegistry(),
             **kwargs,
         )
         assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
@@ -409,14 +409,14 @@ class TestZeroOverhead:
         ) > 0
 
     def test_reused_server_keeps_its_own_sinks(self, tiny_zoo):
-        from repro.serve import ModelServer
+        from repro.serve import Fleet
 
         tracer = Tracer()
         clock = FakeClock()
-        server = ModelServer(
-            GTX1660, max_batch=4, clock=clock, sleep=clock.sleep, tracer=tracer
+        fleet = Fleet(
+            [GTX1660], max_batch=4, clock=clock, sleep=clock.sleep, tracer=tracer
         )
-        replay(GTX1660, "tiny_a", n_requests=8, rate_rps=20000.0, server=server)
+        fleet_replay([GTX1660], "tiny_a", n_requests=8, rate_rps=20000.0, fleet=fleet)
         assert any(s.name == "batch.execute" for s in tracer.spans)
 
 

@@ -17,7 +17,7 @@ from repro.gpu.specs import GTX1660
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
 from repro.runtime.session import InferenceSession
-from repro.serve import FakeClock, ModelServer, PlanCache, replay
+from repro.serve import FakeClock, ModelServer, PlanCache, fleet_replay
 
 
 @pytest.fixture(autouse=True)
@@ -277,7 +277,9 @@ class TestServeForeverCap:
 
 class TestReplay:
     def test_replay_saturates_batches(self):
-        report = replay(GTX1660, "tiny_a", n_requests=32, rate_rps=1e7, max_batch=8)
+        report = fleet_replay(
+            [GTX1660], "tiny_a", n_requests=32, rate_rps=1e7, max_batch=8
+        )
         assert report.planner_invocations == 1
         assert report.mean_batch == pytest.approx(8.0)
         assert report.latency_p99_s >= report.latency_p50_s > 0
@@ -286,14 +288,15 @@ class TestReplay:
     def test_overload_latency_reflects_backlog(self):
         # All requests arrive at once; a deeper backlog must surface as a
         # worse latency tail (device-busy wait counts toward latency).
-        shallow = replay(GTX1660, "tiny_a", n_requests=8, rate_rps=1e9, max_batch=8)
-        deep = replay(GTX1660, "tiny_a", n_requests=64, rate_rps=1e9, max_batch=8)
+        kw = dict(rate_rps=1e9, max_batch=8)
+        shallow = fleet_replay([GTX1660], "tiny_a", n_requests=8, **kw)
+        deep = fleet_replay([GTX1660], "tiny_a", n_requests=64, **kw)
         assert deep.latency_p99_s > 2 * shallow.latency_p99_s
 
     def test_slow_arrivals_flush_by_deadline(self):
         # At 10 req/s every request ages out alone: batches of 1.
-        report = replay(
-            GTX1660, "tiny_a", n_requests=4, rate_rps=10.0,
+        report = fleet_replay(
+            [GTX1660], "tiny_a", n_requests=4, rate_rps=10.0,
             max_batch=8, max_delay_s=1e-3,
         )
         assert report.mean_batch == pytest.approx(1.0)
@@ -305,7 +308,9 @@ class TestReplay:
         it."""
         # Burst arrivals with max_batch=1 serialize on the device, so the 10
         # latencies form a strictly increasing staircase — distinct samples.
-        report = replay(GTX1660, "tiny_a", n_requests=10, rate_rps=1e9, max_batch=1)
+        report = fleet_replay(
+            [GTX1660], "tiny_a", n_requests=10, rate_rps=1e9, max_batch=1
+        )
         latencies = report.latencies_s
         assert len(latencies) == 10
         assert len(set(latencies)) == 10

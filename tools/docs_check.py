@@ -8,7 +8,8 @@ on any dead reference, so the README can't drift from the code:
 * ``python -m repro.cli <command>`` invocations — the subcommand must be
   registered in :func:`repro.cli.build_parser`;
 * repo-relative paths (``src/...``, ``benchmarks/...``, ``examples/...``,
-  ``docs/...``, ``tools/...``) — the file or directory must exist;
+  ``docs/...``, ``tools/...``, ``perfbench/...``) — the file or directory
+  must exist;
 * ``make <target>`` mentions — the target must exist in the Makefile.
 
 Usage: ``python tools/docs_check.py README.md docs/architecture.md``
@@ -27,7 +28,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 MODULE_RE = re.compile(r"\brepro(?:\.[a-zA-Z_][a-zA-Z_0-9]*)+")
 CLI_RE = re.compile(r"python -m repro\.cli ([a-z][a-z0-9-]*)")
-PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools)/[\w./-]*")
+PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools|perfbench)/[\w./-]*")
 # Backticked only: prose like "make sure" must not read as a target claim.
 MAKE_RE = re.compile(r"`make ([a-z][a-z-]*)`")
 
