@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slo test-planner bench-smoke bench perfbench-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
+.PHONY: test test-slo test-planner examples bench-smoke bench perfbench-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
 
 ## tier-1 suite — must stay green (ROADMAP.md)
 test:
@@ -15,6 +15,11 @@ test-slo:
 ## vectorized-search parity suite + the workers determinism guard
 test-planner:
 	$(PYTHON) -m pytest tests/test_planner_vectorized.py tests/test_workers.py -q
+
+## run every example script end to end (they exercise the public API:
+## InferenceSession / TvmSession, planner, kernels); stops at the first failure
+examples:
+	@set -e; for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null; done
 
 ## quick serving + fleet + tuning + one-figure artifact pass (no full fig10
 ## sweep); emits BENCH_smoke.json so the bench trajectory accumulates in CI

@@ -3,7 +3,6 @@
 from .autotune import SearchOutcome, random_search
 from .cudnn import (
     CudnnAlgo,
-    best_cudnn_algo,
     cudnn_counters,
     cudnn_timing,
     run_cudnn,
@@ -15,7 +14,6 @@ __all__ = [
     "SearchOutcome",
     "random_search",
     "CudnnAlgo",
-    "best_cudnn_algo",
     "cudnn_counters",
     "cudnn_timing",
     "run_cudnn",

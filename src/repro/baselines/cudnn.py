@@ -39,7 +39,6 @@ __all__ = [
     "cudnn_blocks",
     "cudnn_timing",
     "cudnn_batched",
-    "best_cudnn_algo",
     "run_cudnn",
 ]
 
@@ -151,6 +150,27 @@ def cudnn_blocks(spec: ConvSpec, gemm_tile: int = _GEMM_TILE) -> int:
     return ceil_div(spec.out_channels, gemm_tile) * ceil_div(n, gemm_tile)
 
 
+def _library_timing(
+    spec: ConvSpec,
+    algo: CudnnAlgo,
+    gpu: GpuSpec,
+    counters: AccessCounters,
+    batch: int,
+    gemm_tile: int,
+) -> KernelTiming:
+    """Roofline timing of ``counters`` with the algorithm's knobs, at the
+    occupancy of a launch grid covering ``batch`` images."""
+    prof = _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)]
+    occ = min(1.0, batch * cudnn_blocks(spec, gemm_tile) / gpu.sm_count)
+    return time_kernel(
+        counters,
+        gpu,
+        spec.dtype,
+        utilization=prof.utilization * occ,
+        bandwidth_efficiency=prof.bandwidth_efficiency * occ**0.5,
+    )
+
+
 def cudnn_timing(
     spec: ConvSpec, algo: CudnnAlgo, gpu: GpuSpec, gemm_tile: int = _GEMM_TILE
 ) -> KernelTiming:
@@ -161,15 +181,8 @@ def cudnn_timing(
     square root of the occupancy deficit — this is why library GEMMs cannot
     simply choose enormous blocking on the paper's small-HW layers.
     """
-    prof = _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)]
-    occ = min(1.0, cudnn_blocks(spec, gemm_tile) / gpu.sm_count)
-    return time_kernel(
-        cudnn_counters(spec, algo, gemm_tile=gemm_tile),
-        gpu,
-        spec.dtype,
-        utilization=prof.utilization * occ,
-        bandwidth_efficiency=prof.bandwidth_efficiency * occ**0.5,
-    )
+    counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile)
+    return _library_timing(spec, algo, gpu, counters, 1, gemm_tile)
 
 
 def cudnn_batched(
@@ -189,24 +202,7 @@ def cudnn_batched(
     counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile).batched(
         batch, spec.weights_bytes
     )
-    prof = _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)]
-    occ = min(1.0, batch * cudnn_blocks(spec, gemm_tile) / gpu.sm_count)
-    timing = time_kernel(
-        counters,
-        gpu,
-        spec.dtype,
-        utilization=prof.utilization * occ,
-        bandwidth_efficiency=prof.bandwidth_efficiency * occ**0.5,
-    )
-    return counters, timing
-
-
-def best_cudnn_algo(spec: ConvSpec, gpu: GpuSpec) -> tuple[CudnnAlgo, KernelTiming]:
-    """The fastest of the three algorithms for this layer on this GPU."""
-    choices = [(cudnn_timing(spec, a, gpu).t_total_s, a) for a in CudnnAlgo]
-    t, algo = min(choices, key=lambda x: x[0])
-    del t
-    return algo, cudnn_timing(spec, algo, gpu)
+    return counters, _library_timing(spec, algo, gpu, counters, batch, gemm_tile)
 
 
 def run_cudnn(
@@ -249,4 +245,4 @@ def run_cudnn(
     else:
         out = x.astype(np.float32)
     counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile)
-    return out, counters, cudnn_timing(spec, algo, gpu, gemm_tile=gemm_tile)
+    return out, counters, _library_timing(spec, algo, gpu, counters, 1, gemm_tile)

@@ -2,7 +2,7 @@
 
 from .chain import FusedChain, chain_fcm_type, composed_receptive_field
 from .dtypes import DType
-from .fcm import FcmType, candidate_fcm_types, fcm_is_redundant
+from .fcm import FcmType, candidate_fcm_types
 from .ops import (
     ACTIVATIONS,
     apply_activation,
@@ -10,7 +10,6 @@ from .ops import (
     conv2d_depthwise,
     conv2d_pointwise,
     conv2d_standard,
-    fold_batchnorm,
     out_dim,
 )
 from .quantize import (
@@ -40,14 +39,12 @@ __all__ = [
     "composed_receptive_field",
     "FcmType",
     "candidate_fcm_types",
-    "fcm_is_redundant",
     "ACTIVATIONS",
     "apply_activation",
     "apply_norm",
     "conv2d_depthwise",
     "conv2d_pointwise",
     "conv2d_standard",
-    "fold_batchnorm",
     "out_dim",
     "QuantParams",
     "choose_scale",

@@ -23,7 +23,6 @@ __all__ = [
     "conv2d_standard",
     "conv2d_depthwise",
     "conv2d_pointwise",
-    "fold_batchnorm",
     "apply_norm",
     "apply_activation",
     "ACTIVATIONS",
@@ -136,25 +135,6 @@ def conv2d_pointwise(ifm: np.ndarray, weights: np.ndarray, stride: int = 1) -> n
     return np.tensordot(
         weights.astype(acc, copy=False), x.astype(acc, copy=False), axes=([1], [0])
     )
-
-
-def fold_batchnorm(
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float = 1e-5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold inference-time batch-norm statistics into a per-channel affine.
-
-    Returns ``(scale, shift)`` such that ``norm(x) == scale * x + shift``.
-    This is the standard offline transformation the paper's kernels rely on:
-    the normalization layer of an FCM becomes one FMA in the epilogue.
-    """
-    inv_std = 1.0 / np.sqrt(var + eps)
-    scale = gamma * inv_std
-    shift = beta - mean * scale
-    return scale.astype(np.float32), shift.astype(np.float32)
 
 
 def apply_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ they differ exactly where the paper's systems differ:
 * the TVM session runs every conv through its tuned cuDNN-backend algorithm
   and gets residual adds for free (injective fusion).
 
-Each session offers a functional ``run`` (real tensors through the simulated
-kernels) and an ``run_analytic`` (counters-only, byte-identical totals via the
-measured-convention estimators) for the large end-to-end sweeps.
+:class:`InferenceSession` has one functional walk, :meth:`~InferenceSession.
+run_batch` (real tensors through the simulated kernels), and one analytic
+walk, :meth:`~InferenceSession.run_analytic_batch` (counters only, byte-
+identical totals via the measured-convention estimators), which prices every
+step through :func:`price_step`.  A single image is a batch of one: ``run``
+and ``run_analytic`` delegate to the batched walks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baselines.cudnn import CudnnAlgo, cudnn_counters, run_cudnn
+from ..baselines.cudnn import (
+    CudnnAlgo,
+    cudnn_batched,
+    cudnn_counters,
+    cudnn_timing,
+    run_cudnn,
+)
 from ..baselines.tvm import TvmConvStep, TvmPlan
 from ..core.dtypes import DType
 from ..errors import PlanError, ShapeError
@@ -33,7 +42,14 @@ from ..gpu.specs import GpuSpec
 from ..ir.graph import ModelGraph
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
 from ..planner.analytic import chain_counters, lbl_counters
-from ..planner.plan import ExecutionPlan, FcmStep, GlueStep, LblStep, StdStep
+from ..planner.plan import (
+    ChainStep,
+    ExecutionPlan,
+    GlueStep,
+    LblStep,
+    PlanStep,
+    StdStep,
+)
 from .glue import apply_glue, glue_counters
 from .network_params import NetworkParams, materialize_network
 
@@ -43,6 +59,7 @@ __all__ = [
     "InferenceSession",
     "TvmSession",
     "build_session",
+    "price_step",
     "seeded_input",
 ]
 
@@ -135,6 +152,36 @@ def _record(
     )
 
 
+def price_step(
+    step: PlanStep, gpu: GpuSpec, dtype: DType, batch_size: int
+) -> StepRecord:
+    """Counters-only record of one plan step launched over ``batch_size`` images.
+
+    The one analytic step pricer: :meth:`InferenceSession.run_analytic_batch`
+    (hence :meth:`~InferenceSession.run_analytic`), the functional walk's
+    standard-conv and glue records and the tuner's measured step cost all
+    come from here.  DW/PW steps use the measured-convention counter
+    builders, which the functional kernels match byte for byte.
+    """
+    if isinstance(step, ChainStep):
+        counters = chain_counters(step.specs, step.tiling, step.fcm_type).batched(
+            batch_size, sum(sp.weights_bytes for sp in step.specs)
+        )
+        return _record("+".join(step.layer_names), "fcm", counters, gpu, dtype)
+    if isinstance(step, LblStep):
+        counters = lbl_counters(step.spec, step.tiling).batched(
+            batch_size, step.spec.weights_bytes
+        )
+        return _record(step.spec.name, "lbl", counters, gpu, dtype)
+    if isinstance(step, StdStep):
+        counters, timing = cudnn_batched(step.spec, _STD_ALGO, gpu, batch_size)
+        return _record(step.spec.name, "std", counters, gpu, dtype, timing)
+    if isinstance(step, GlueStep):
+        counters = glue_counters(step.spec, dtype).batched(batch_size)
+        return _record(step.spec.name, "glue", counters, gpu, dtype)
+    raise PlanError(f"unknown plan step {step!r}")  # pragma: no cover - exhaustive
+
+
 class InferenceSession:
     """Execute a FusePlanner :class:`ExecutionPlan` end to end.
 
@@ -166,80 +213,25 @@ class InferenceSession:
 
     # ---- functional execution -------------------------------------------------
     def run(self, input_array: np.ndarray, engine: str | None = None) -> SessionReport:
-        """Run real tensors through the simulated kernels per the plan."""
-        engine = self.engine if engine is None else resolve_engine(engine)
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
-        values: dict[str, np.ndarray] = {}
-
-        def input_of(layer_name: str) -> np.ndarray:
-            preds = self.graph.predecessors(layer_name)
-            if not preds:
-                return input_array
-            return values[preds[0]]
-
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                kernel = build_chain_kernel(
-                    [self.params[sp.name] for sp in step.specs],
-                    step.tiling,
-                    step.fcm_type,
-                )
-                res = kernel.simulate(input_of(step.specs[0].name), self.gpu, engine)
-                values[step.specs[-1].name] = res.output
-                report.records.append(
-                    _record(
-                        "+".join(step.layer_names), "fcm", res.counters, self.gpu,
-                        self.dtype, res.timing(),
-                    )
-                )
-            elif isinstance(step, LblStep):
-                kernel = build_lbl_kernel(self.params[step.spec.name], step.tiling)
-                res = kernel.simulate(input_of(step.spec.name), self.gpu, engine)
-                values[step.spec.name] = res.output
-                report.records.append(
-                    _record(step.spec.name, "lbl", res.counters, self.gpu,
-                            self.dtype, res.timing())
-                )
-            elif isinstance(step, StdStep):
-                out, counters, timing = run_cudnn(
-                    self.params[step.spec.name], input_of(step.spec.name),
-                    _STD_ALGO, self.gpu,
-                )
-                values[step.spec.name] = out
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                spec = step.spec
-                preds = self.graph.predecessors(spec.name)
-                inputs = [values[p] if p in values else input_array for p in preds]
-                scales = [self.params.out_scales.get(p) for p in preds]
-                out, _scale = apply_glue(spec, inputs, scales, self.dtype)
-                values[spec.name] = out
-                counters = glue_counters(spec, self.dtype)
-                report.records.append(
-                    _record(spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-            else:  # pragma: no cover - exhaustive
-                raise PlanError(f"unknown plan step {step!r}")
-        report.output = values.get(self._output_name())
+        """Run one ``(C, H, W)`` image: :meth:`run_batch` over a batch of one."""
+        if input_array.ndim != 3:
+            raise ShapeError(f"run expects (C, H, W), got shape {input_array.shape}")
+        report = self.run_batch(input_array[None], engine)
+        report.output = report.output[0]
         return report
 
-    def _output_name(self) -> str:
-        names = [s.name for s in self.graph.topological()]
-        return names[-1]
-
-    # ---- batched execution ------------------------------------------------------
     def run_batch(
         self, batch_input: np.ndarray, engine: str | None = None
     ) -> SessionReport:
         """Run a stack of inputs (leading batch dim) through batched launches.
 
-        Per step the whole batch goes through one kernel launch: per-image
-        traffic and compute scale with the batch while launch overhead is paid
-        once and cross-image weight re-streams are served from L2 (see
-        :meth:`~repro.gpu.counters.AccessCounters.batched`).  Outputs are
-        numerically identical to running each image through :meth:`run`.
+        Real tensors go through the simulated kernels per the plan.  Per step
+        the whole batch goes through one kernel launch: per-image traffic and
+        compute scale with the batch while launch overhead is paid once and
+        cross-image weight re-streams are served from L2 (see
+        :meth:`~repro.gpu.counters.AccessCounters.batched`).  Standard-conv
+        and glue records come from :func:`price_step`, which prices them
+        without tensors.
         """
         engine = self.engine if engine is None else resolve_engine(engine)
         if batch_input.ndim != 4:
@@ -259,7 +251,7 @@ class InferenceSession:
             return values[preds[0]]
 
         for step in self.plan.steps:
-            if isinstance(step, FcmStep):
+            if isinstance(step, ChainStep):
                 kernel = build_chain_kernel(
                     [self.params[sp.name] for sp in step.specs],
                     step.tiling,
@@ -284,18 +276,12 @@ class InferenceSession:
                             self.dtype, res.timing())
                 )
             elif isinstance(step, StdStep):
-                from ..baselines.cudnn import cudnn_batched
-
-                ifms = input_of(step.spec.name)
-                outs = [
-                    run_cudnn(self.params[step.spec.name], ifm, _STD_ALGO, self.gpu)[0]
-                    for ifm in ifms
-                ]
-                values[step.spec.name] = np.stack(outs)
-                counters, timing = cudnn_batched(step.spec, _STD_ALGO, self.gpu, n)
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
+                params = self.params[step.spec.name]
+                values[step.spec.name] = np.stack([
+                    run_cudnn(params, ifm, _STD_ALGO, self.gpu)[0]
+                    for ifm in input_of(step.spec.name)
+                ])
+                report.records.append(price_step(step, self.gpu, self.dtype, n))
             elif isinstance(step, GlueStep):
                 spec = step.spec
                 preds = self.graph.predecessors(spec.name)
@@ -308,97 +294,38 @@ class InferenceSession:
                     out, _scale = apply_glue(spec, inputs, scales, self.dtype)
                     outs.append(out)
                 values[spec.name] = np.stack(outs)
-                counters = glue_counters(spec, self.dtype).batched(n)
-                report.records.append(
-                    _record(spec.name, "glue", counters, self.gpu, self.dtype)
-                )
+                report.records.append(price_step(step, self.gpu, self.dtype, n))
             else:  # pragma: no cover - exhaustive
                 raise PlanError(f"unknown plan step {step!r}")
         report.output = values.get(self._output_name())
         return report
 
-    def run_analytic_batch(self, batch_size: int) -> SessionReport:
-        """Counters-only batched execution (the serving fast path).
-
-        Byte/MAC totals equal :meth:`run_batch` exactly, with no tensors
-        materialized — one call per (plan, batch size) prices a whole
-        micro-batch in microseconds.
-        """
-        if batch_size < 1:
-            raise PlanError(f"batch_size must be >= 1, got {batch_size}")
-        from ..baselines.cudnn import cudnn_batched
-
-        report = SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, batch_size=batch_size
-        )
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                counters = chain_counters(
-                    step.specs, step.tiling, step.fcm_type
-                ).batched(
-                    batch_size,
-                    sum(sp.weights_bytes for sp in step.specs),
-                )
-                report.records.append(
-                    _record("+".join(step.layer_names), "fcm", counters,
-                            self.gpu, self.dtype)
-                )
-            elif isinstance(step, LblStep):
-                counters = lbl_counters(step.spec, step.tiling).batched(
-                    batch_size, step.spec.weights_bytes
-                )
-                report.records.append(
-                    _record(step.spec.name, "lbl", counters, self.gpu, self.dtype)
-                )
-            elif isinstance(step, StdStep):
-                counters, timing = cudnn_batched(
-                    step.spec, _STD_ALGO, self.gpu, batch_size
-                )
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                counters = glue_counters(step.spec, self.dtype).batched(batch_size)
-                report.records.append(
-                    _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        return report
+    def _output_name(self) -> str:
+        names = [s.name for s in self.graph.topological()]
+        return names[-1]
 
     # ---- analytic execution -----------------------------------------------------
     def run_analytic(self) -> SessionReport:
-        """Counters-only execution via the measured-convention estimators.
+        """Counters-only batch-1 execution: :meth:`run_analytic_batch` of one."""
+        return self.run_analytic_batch(1)
 
-        Byte counts and MACs equal the functional run exactly (verified by
-        integration tests); no tensors are materialized, so full-size models
-        sweep in milliseconds.
+    def run_analytic_batch(self, batch_size: int) -> SessionReport:
+        """Counters-only batched execution via the measured-convention estimators.
+
+        Byte/MAC totals equal :meth:`run_batch` exactly, with no tensors
+        materialized, so full-size models sweep in milliseconds and one call
+        per (plan, batch size) prices a whole serving micro-batch.
         """
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                counters = chain_counters(step.specs, step.tiling, step.fcm_type)
-                report.records.append(
-                    _record("+".join(step.layer_names), "fcm", counters,
-                            self.gpu, self.dtype)
-                )
-            elif isinstance(step, LblStep):
-                counters = lbl_counters(step.spec, step.tiling)
-                report.records.append(
-                    _record(step.spec.name, "lbl", counters, self.gpu, self.dtype)
-                )
-            elif isinstance(step, StdStep):
-                counters = cudnn_counters(step.spec, _STD_ALGO)
-                from ..baselines.cudnn import cudnn_timing
-
-                timing = cudnn_timing(step.spec, _STD_ALGO, self.gpu)
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                counters = glue_counters(step.spec, self.dtype)
-                report.records.append(
-                    _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        return report
+        if batch_size < 1:
+            raise PlanError(f"batch_size must be >= 1, got {batch_size}")
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype,
+            records=[
+                price_step(step, self.gpu, self.dtype, batch_size)
+                for step in self.plan.steps
+            ],
+            batch_size=batch_size,
+        )
 
 
 def build_session(
@@ -493,8 +420,6 @@ class TvmSession:
 
     def run_analytic(self) -> SessionReport:
         """Counters-only execution of the TVM plan."""
-        from ..baselines.cudnn import cudnn_timing
-
         report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):

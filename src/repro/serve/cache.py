@@ -187,13 +187,7 @@ class PlanCache:
             return entry
         self.stats.misses += 1
         self._count("miss")
-        entry = self._build(key, model, dtype, gpu, convention, max_chain)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("eviction")
-        return entry
+        return self._insert(self._build(key, model, dtype, gpu, convention, max_chain))
 
     def install(
         self,
@@ -221,18 +215,7 @@ class PlanCache:
         entry = self._entries.get(key)
         if entry is not None:
             return entry
-        graph = build_model(model, dtype)
-        params = materialize_network(graph, dtype, self.seed)
-        session = InferenceSession(graph, plan, params)
-        entry = CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("eviction")
-        self.stats.warm_starts += 1
-        self._count("warm_start")
-        return entry
+        return self.adopt(self._entry(key, build_model(model, dtype), plan))
 
     def clear(self) -> int:
         """Drop every resident entry, keeping cumulative stats (crash path).
@@ -258,13 +241,18 @@ class PlanCache:
         resident = self._entries.get(entry.key)
         if resident is not None:
             return resident
+        self._insert(entry)
+        self.stats.warm_starts += 1
+        self._count("warm_start")
+        return entry
+
+    def _insert(self, entry: CachedPlan) -> CachedPlan:
+        """Make ``entry`` resident, evicting least recently used past capacity."""
         self._entries[entry.key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             self._count("eviction")
-        self.stats.warm_starts += 1
-        self._count("warm_start")
         return entry
 
     def warm_start(
@@ -330,6 +318,10 @@ class PlanCache:
             gpu, convention, max_chain=max_chain, calibration=self.calibration,
             tracer=self.tracer, metrics=self.metrics,
         ).plan(graph)
-        params = materialize_network(graph, dtype, self.seed)
+        return self._entry(key, graph, plan)
+
+    def _entry(self, key: PlanKey, graph: ModelGraph, plan: ExecutionPlan) -> CachedPlan:
+        """Materialize weights and a session around a planned graph."""
+        params = materialize_network(graph, DType(key.dtype), self.seed)
         session = InferenceSession(graph, plan, params)
         return CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)

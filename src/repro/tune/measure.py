@@ -28,22 +28,20 @@ byte-identical by the integration tests, so both return the same cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..baselines.autotune import random_search
-from ..baselines.cudnn import CudnnAlgo, cudnn_counters, cudnn_timing
+from ..baselines.cudnn import CudnnAlgo, cudnn_counters
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..errors import TuneError
-from ..gpu.roofline import time_kernel
 from ..gpu.specs import GpuSpec
 from ..kernels.params import chain_quant, make_layer_params
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
 from ..models.zoo import build_model
 from ..obs import resolve_metrics, resolve_tracer
-from ..planner.analytic import chain_counters, lbl_counters
 from ..planner.plan import (
     ChainStep,
     ExecutionPlan,
@@ -60,7 +58,7 @@ from ..planner.search import (
 )
 from ..runtime.glue import glue_counters
 from ..runtime.network_params import materialize_network
-from ..runtime.session import InferenceSession
+from ..runtime.session import InferenceSession, price_step
 from .calibrate import analytic_cost_s
 from .records import TuningDB, TuningKey, TuningRecord, chain_geometry, spec_geometry
 
@@ -110,21 +108,14 @@ def measured_step_cost_s(
 ) -> float:
     """Observed batch-1 latency of one step (``tiling`` overrides the plan's).
 
-    Matches :meth:`~repro.runtime.session.InferenceSession.run_analytic`
-    exactly: measured-convention counters through the roofline for DW/PW
-    work, the cuDNN timing model for standard convs.
+    This is the runtime's analytic step pricer
+    (:func:`~repro.runtime.session.price_step`) at batch 1, so it equals the
+    step's record in :meth:`~repro.runtime.session.InferenceSession.
+    run_analytic` exactly.  Only DW/PW (LBL or fused) steps take a tiling.
     """
-    if isinstance(step, ChainStep):
-        t = tiling if tiling is not None else step.tiling
-        c = chain_counters(step.specs, t, step.fcm_type)
-    elif isinstance(step, LblStep):
-        t = tiling if tiling is not None else step.tiling
-        c = lbl_counters(step.spec, t)
-    elif isinstance(step, StdStep):
-        return cudnn_timing(step.spec, _STD_ALGO, gpu).t_total_s
-    else:
-        c = glue_counters(step.spec, dtype)
-    return time_kernel(c, gpu, dtype).t_total_s
+    if tiling is not None:
+        step = replace(step, tiling=tiling)
+    return price_step(step, gpu, dtype, 1).time_s
 
 
 def simulated_kernel_cost_s(
@@ -516,7 +507,6 @@ def tune_models(
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from dataclasses import replace as _replace
 
     # fork shares the warmed geometry memo / pow2 caches with the children
     # for free; spawn-only platforms still work, just with cold caches.
@@ -526,5 +516,5 @@ def tune_models(
         results = list(pool.map(_measure_one_job, jobs))
     for dumped, mm in results:  # submission order == the serial sweep order
         adopted = db.merge(TuningDB.loads(dumped))
-        out.append(_replace(mm, records_added=adopted))
+        out.append(replace(mm, records_added=adopted))
     return db, out

@@ -11,7 +11,6 @@ from helpers import dw_spec, pw_spec, random_ifm, ref_layer
 from repro.baselines.autotune import random_search
 from repro.baselines.cudnn import (
     CudnnAlgo,
-    best_cudnn_algo,
     cudnn_blocks,
     cudnn_counters,
     cudnn_timing,
@@ -80,10 +79,6 @@ class TestCudnnModels:
                 spec, CudnnAlgo.IMPLICIT_PRECOMP_GEMM, RTX_A4000
             ).t_total_s
             assert t_pre <= t_imp <= t_gemm
-
-    def test_best_algo_is_precomp(self):
-        algo, _ = best_cudnn_algo(pw_spec(c_in=32, c_out=64, h=56, w=56), RTX_A4000)
-        assert algo is CudnnAlgo.IMPLICIT_PRECOMP_GEMM
 
     def test_explicit_gemm_pays_materialization(self):
         spec = pw_spec(c_in=32, c_out=64, h=28, w=28)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
-from repro.core.fcm import FcmType, candidate_fcm_types, fcm_is_redundant
+from repro.core.fcm import FcmType, candidate_fcm_types
 from repro.core.tensor import FeatureMapSpec, TensorSpec
 from repro.errors import ShapeError, UnsupportedError
 
@@ -63,11 +63,6 @@ class TestFcmTaxonomy:
     def test_dw_dw_rejected(self):
         with pytest.raises(UnsupportedError):
             candidate_fcm_types("dw", "dw")
-
-    def test_redundancy_flag(self):
-        assert fcm_is_redundant(FcmType.PWDW_R)
-        for t in (FcmType.DWPW, FcmType.PWDW, FcmType.PWPW):
-            assert not fcm_is_redundant(t)
 
     def test_kind_properties(self):
         assert FcmType.DWPW.first_kind == "dw" and FcmType.DWPW.second_kind == "pw"

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from repro.core.ops import (
     ACTIVATIONS,
     apply_activation,
-    apply_norm,
     conv2d_depthwise,
     conv2d_pointwise,
     conv2d_standard,
-    fold_batchnorm,
     out_dim,
 )
 from repro.errors import ShapeError
@@ -120,19 +118,6 @@ class TestPointwiseConv:
 
 
 class TestEpilogueOps:
-    def test_fold_batchnorm_matches_direct(self, rng):
-        c = 6
-        x = rng.standard_normal((c, 4, 4)).astype(np.float32)
-        gamma = rng.uniform(0.5, 2, c).astype(np.float32)
-        beta = rng.uniform(-1, 1, c).astype(np.float32)
-        mean = rng.uniform(-1, 1, c).astype(np.float32)
-        var = rng.uniform(0.1, 2, c).astype(np.float32)
-        scale, shift = fold_batchnorm(gamma, beta, mean, var, eps=1e-5)
-        direct = gamma[:, None, None] * (x - mean[:, None, None]) / np.sqrt(
-            var[:, None, None] + 1e-5
-        ) + beta[:, None, None]
-        np.testing.assert_allclose(apply_norm(x, scale, shift), direct, rtol=1e-4)
-
     def test_activations_pointwise_props(self, rng):
         x = rng.standard_normal(100).astype(np.float32)
         assert (apply_activation(x, "relu") >= 0).all()

@@ -153,7 +153,7 @@ class TestMeasurement:
         report = InferenceSession(graph, plan).run_analytic()
         for step, rec in zip(plan.steps, report.records):
             measured = measured_step_cost_s(step, GTX1660, DType.FP32)
-            assert measured == pytest.approx(rec.time_s, rel=1e-12)
+            assert measured == rec.time_s
 
     def test_simulated_kernel_agrees_with_counters(self, planned):
         # Hardware-in-the-loop backend: the instrumented kernel grid meters
