@@ -27,6 +27,7 @@ from repro.kernels.registry import build_fcm_kernel, build_lbl_kernel
 _PW = ConvSpec("pw", ConvKind.POINTWISE, 64, 128, 56, 56)
 _DW = ConvSpec("dw", ConvKind.DEPTHWISE, 128, 128, 56, 56, kernel=3, stride=1,
                padding=1)
+_PW_AFTER_DW = ConvSpec("pw_proj", ConvKind.POINTWISE, 128, 64, 56, 56)
 
 
 def _ifm(spec, dtype=DType.FP32):
@@ -66,6 +67,23 @@ def test_bench_fcm_pwdw_r(benchmark, dtype):
     tiling = {"tile_f": 32, "tile_h": 14, "tile_w": 14}
     out = benchmark(
         lambda: build_fcm_kernel(FcmType.PWDW_R, p1, p2, tiling).simulate(
+            x, RTX_A4000
+        )
+    )
+    assert out.counters.total_bytes > 0
+
+
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8], ids=["fp32", "int8"])
+def test_bench_fcm_dwpw(benchmark, dtype):
+    """The DWPW module: a DW->PW pair on the two-stage chain kernel."""
+    dw = _DW.with_dtype(dtype)
+    pw = _PW_AFTER_DW.with_dtype(dtype)
+    p1 = make_layer_params(dw)
+    p2 = chain_quant(p1, pw)
+    x = _ifm(dw, dtype)
+    tiling = {"tile_h": 7, "tile_w": 7, "tile_m": 32}
+    out = benchmark(
+        lambda: build_fcm_kernel(FcmType.DWPW, p1, p2, tiling).simulate(
             x, RTX_A4000
         )
     )

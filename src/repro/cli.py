@@ -278,7 +278,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_chain=args.max_chain,
         db=db,
         calibration=calibration,
-        engine=args.engine,
         tracer=tracer,
         metrics=metrics,
         **_slo_kwargs(args),
@@ -627,7 +626,6 @@ _EPILOGS: dict[str, str] = {
         "  python -m repro.cli serve mobilenet_v2 --slo-ms 5 --admission degrade "
         "--arrival lognormal\n"
         "  python -m repro.cli serve mobilenet_v2 --trace requests.jsonl --slo-ms 5\n"
-        "  python -m repro.cli serve mobilenet_v2 --engine reference  # interpreted path\n"
         "  python -m repro.cli serve mobilenet_v2 --trace-out TRACE_serve.json "
         "--metrics-out METRICS_serve.txt"
     ),
@@ -831,9 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default="",
                    help="tuning DB path: warm-start the server/fleet from its "
                         "model records and plan new models calibrated")
-    p.add_argument("--engine", choices=["fast", "reference"], default="fast",
-                   help="execution engine for functional batches "
-                        "(default fast)")
     _add_obs_args(p)
 
     p = _add_cmd(sub, "bench-serve", _cmd_bench_serve,

@@ -5,7 +5,6 @@ from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
 from .epilogue import ConvEpilogue
 from .fused_chain import FusedChainKernel
-from .fused_dwpw import DwPwFusedKernel
 from .fused_pwdw import PwDwFusedKernel
 from .fused_pwdw_r import PwDwRFusedKernel
 from .fused_pwpw import PwPwFusedKernel
@@ -19,7 +18,6 @@ __all__ = [
     "PwDirectKernel",
     "ConvEpilogue",
     "FusedChainKernel",
-    "DwPwFusedKernel",
     "PwDwFusedKernel",
     "PwDwRFusedKernel",
     "PwPwFusedKernel",

@@ -1,9 +1,8 @@
 """Generic fused-chain kernel: N conv stages, one launch, on-chip intermediates.
 
-The four pairwise FCM kernels each hard-code a two-stage dataflow; this
-kernel executes an arbitrary-length :class:`~repro.core.chain.FusedChain`
-with the spatial-tiling discipline the chain cost models price
-(:mod:`repro.planner.chain_costs`):
+This kernel executes an arbitrary-length
+:class:`~repro.core.chain.FusedChain` with the spatial-tiling discipline the
+chain cost models price (:mod:`repro.planner.chain_costs`):
 
 * one thread block owns a ``tile_h x tile_w`` tile of the *final* stage's
   output; the required window of every earlier boundary is found by walking
@@ -20,9 +19,13 @@ with the spatial-tiling discipline the chain cost models price
 * a final PW stage streams its filter matrix in ``tile_m`` groups against
   the resident last commBuffer; a final DW stage consumes it channel-wise.
 
-At length 2 this kernel reproduces the DWPW / PWDW_R dataflows; the
-registry keeps routing pairwise plans to the specialized kernels (which
-also cover the channel-grouped PWDW and flat-tiled PWPW vocabularies).
+At length 2 over a DW->PW pair this *is* the paper's DWPW module (Fig. 3b,
+4): all channels of a spatial tile's DW output stay in one commBuffer and
+the PW filters stream against it in ``tile_m`` groups, with no redundant
+computation.  The registry builds every DWPW plan step on this kernel; the
+PWDW, PWDW_R and PWPW modules keep their specialized kernels, whose
+channel-grouped (``tile_f``) and flat (``tile_hw``) vocabularies the chain
+dataflow cannot express.
 """
 
 from __future__ import annotations

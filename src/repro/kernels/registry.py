@@ -3,7 +3,10 @@
 The planner emits *what* to run (fuse or not, which FCM type, which tile
 sizes); this registry turns those decisions into concrete simulated kernels.
 Tile-size vocabularies differ per kernel, so the registry also defines the
-canonical tiling-dict keys each kernel understands.
+canonical tiling-dict keys each kernel understands.  A DWPW module is the
+chain dataflow at length 2, so it runs on
+:class:`~repro.kernels.fused_chain.FusedChainKernel`; PWDW, PWDW_R and PWPW
+keep their own kernels for the ``tile_f`` / flat ``tile_hw`` vocabularies.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from typing import Mapping, Sequence
 
 from ..core.fcm import FcmType
 from ..core.tiling import DwTiling, PwTiling
-from ..errors import UnsupportedError
+from ..errors import ShapeError, UnsupportedError
 from ..ir.layers import ConvKind
 from .base import SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
 from .fused_chain import FusedChainKernel
-from .fused_dwpw import DwPwFusedKernel
 from .fused_pwdw import PwDwFusedKernel
 from .fused_pwdw_r import PwDwRFusedKernel
 from .fused_pwpw import PwPwFusedKernel
@@ -53,14 +55,16 @@ def build_fcm_kernel(
 
     ``tiling`` keys per type:
 
-    * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m``
+    * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m`` (the two-stage chain kernel)
     * PWDW   -> ``tile_f``
     * PWDW_R -> ``tile_f``, ``tile_h``, ``tile_w``
     * PWPW   -> ``tile_hw``, ``tile_m``
     """
     if fcm_type is FcmType.DWPW:
-        return DwPwFusedKernel(
-            first, second, tiling["tile_h"], tiling["tile_w"], tiling["tile_m"]
+        if (first.spec.kind, second.spec.kind) != (ConvKind.DEPTHWISE, ConvKind.POINTWISE):
+            raise ShapeError("a DWPW module fuses a DW layer followed by a PW layer")
+        return FusedChainKernel(
+            [first, second], tiling["tile_h"], tiling["tile_w"], tiling["tile_m"]
         )
     if fcm_type is FcmType.PWDW:
         return PwDwFusedKernel(first, second, tiling["tile_f"])
@@ -80,11 +84,11 @@ def build_chain_kernel(
 ) -> SimKernel:
     """Build the fused kernel for a chain of any length.
 
-    Length-2 chains carrying their pairwise ``fcm_type`` route to the four
-    specialized FCM kernels (whose tiling vocabularies match the pairwise
-    estimators byte-for-byte); longer chains build the generic
-    :class:`~repro.kernels.fused_chain.FusedChainKernel` with the chain
-    vocabulary ``tile_h``/``tile_w``[/``tile_m``].
+    Length-2 chains carrying their pairwise ``fcm_type`` go through
+    :func:`build_fcm_kernel` (whose tiling vocabularies match the pairwise
+    estimators byte-for-byte; DWPW comes back as the chain kernel); longer
+    chains build :class:`~repro.kernels.fused_chain.FusedChainKernel` with
+    the chain vocabulary ``tile_h``/``tile_w``[/``tile_m``].
     """
     if len(stages) < 2:
         raise UnsupportedError("a fused chain kernel needs at least two stages")

@@ -1,14 +1,14 @@
 """Chain-fusion cost models: the Eq. 4 family generalized to N stages.
 
-The pairwise FCM estimators (:mod:`repro.planner.fcm_costs`) hard-code two
-stages.  This module rebuilds them *compositionally*: a chain's global
+This module builds the Eq. 4 family *compositionally*: a chain's global
 memory accesses, shared-memory footprint and halo redundancy are derived
 per stage by propagating the final output tile backward through every
 stage's ``(kernel, stride, padding)`` geometry.  At length 2 the
-construction reduces to the existing Eq. 4 family:
+construction covers the pairwise modules:
 
-* ``dw->pw``  — identical formulas to :data:`~repro.core.fcm.FcmType.DWPW`
-  (same tiling vocabulary, term for term);
+* ``dw->pw``  — *is* the :data:`~repro.core.fcm.FcmType.DWPW` model (same
+  ``tile_h``/``tile_w``/``tile_m`` vocabulary); the pairwise entry points
+  in :mod:`repro.planner.fcm_costs` forward DWPW pairs here;
 * ``pw->dw``  — the PWDW_R formulas with ``tile_f = Cmid`` (the chain
   model always keeps all intermediate channels resident; the untiled PWDW
   channel-group dataflow remains a pairwise specialization);
@@ -16,9 +16,9 @@ construction reduces to the existing Eq. 4 family:
   flattened ``tile_hw`` vocabulary.
 
 :func:`chain_gma` therefore dispatches length-2 chains carrying a pairwise
-tiling vocabulary straight to :func:`~repro.planner.fcm_costs.fcm_gma`, so
-pairwise numbers are reproduced bit-for-bit, and runs the general N-stage
-model everywhere else.
+``tile_f`` / ``tile_hw`` vocabulary to
+:func:`~repro.planner.fcm_costs.fcm_gma`, so those pairwise numbers are
+reproduced bit-for-bit, and runs the general N-stage model everywhere else.
 
 Chain dataflow (one thread block):
 

@@ -183,13 +183,7 @@ def _fcm_tiling_candidates(
     fcm_type: FcmType, first: ConvSpec, second: ConvSpec
 ) -> list[dict[str, int]]:
     if fcm_type is FcmType.DWPW:
-        dw, pw = first, second
-        return [
-            {"tile_h": th, "tile_w": tw, "tile_m": tm}
-            for th in _pow2_upto(dw.out_h)
-            for tw in _pow2_upto(dw.out_w)
-            for tm in _pow2_upto(pw.out_channels)
-        ]
+        return _chain_tiling_candidates(FusedChain((first, second)))
     if fcm_type is FcmType.PWDW:
         return [{"tile_f": tf} for tf in _pow2_upto(first.out_channels)]
     if fcm_type is FcmType.PWDW_R:

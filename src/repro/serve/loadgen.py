@@ -611,7 +611,6 @@ def fleet_replay(
     fleet: Fleet | None = None,
     db=None,
     calibration=None,
-    engine: str | None = None,
     workers: int = 1,
     tracer=None,
     metrics=None,
@@ -683,7 +682,6 @@ def fleet_replay(
             sleep=clock.sleep,
             db=db,
             calibration=calibration,
-            engine=engine,
             tracer=tracer,
             metrics=metrics,
         )

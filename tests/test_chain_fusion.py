@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -126,8 +129,8 @@ class TestChainCostReduction:
 
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     def test_general_model_reduces_to_dwpw(self, convention):
-        """The compositional model itself (not dispatch) matches DWPW exactly:
-        the chain vocabulary coincides with DWPW's, so both paths must agree."""
+        """DWPW is priced by the compositional model itself, not by a
+        pairwise dispatch: the chain vocabulary coincides with DWPW's."""
         from repro.planner.chain_costs import _chain_gma_general
 
         dw, pw = _dw("d", 16, 28, 28), _pw("p", 16, 32, 28, 28)
@@ -372,7 +375,9 @@ class TestFusedChainKernel:
         assert ref.total_bytes == res.counters.total_bytes
 
     def test_registry_routes_pairwise_and_chain(self):
-        from repro.kernels.fused_dwpw import DwPwFusedKernel
+        from repro.kernels.fused_pwdw import PwDwFusedKernel
+        from repro.kernels.fused_pwdw_r import PwDwRFusedKernel
+        from repro.kernels.fused_pwpw import PwPwFusedKernel
 
         dw, pw = _dw("d", 8, 12, 12), _pw("p", 8, 16, 12, 12)
         p_dw = make_layer_params(dw)
@@ -380,7 +385,30 @@ class TestFusedChainKernel:
         k2 = build_chain_kernel(
             [p_dw, p_pw], {"tile_h": 4, "tile_w": 4, "tile_m": 8}, FcmType.DWPW
         )
-        assert isinstance(k2, DwPwFusedKernel)
+        # DWPW is the two-stage chain dataflow: it runs on the chain kernel.
+        assert isinstance(k2, FusedChainKernel)
+        assert k2.chain.kinds == "dw-pw"
+        # The other pairwise modules keep their own kernels.
+        e = make_layer_params(_pw("e", 8, 16, 12, 12))
+        d = chain_quant(e, _dw("d2", 16, 12, 12))
+        q = chain_quant(e, _pw("q", 16, 8, 12, 12))
+        assert isinstance(
+            build_chain_kernel([e, d], {"tile_f": 8}, FcmType.PWDW), PwDwFusedKernel
+        )
+        assert isinstance(
+            build_chain_kernel(
+                [e, d], {"tile_f": 8, "tile_h": 4, "tile_w": 4}, FcmType.PWDW_R
+            ),
+            PwDwRFusedKernel,
+        )
+        assert isinstance(
+            build_chain_kernel([e, q], {"tile_hw": 16, "tile_m": 8}, FcmType.PWPW),
+            PwPwFusedKernel,
+        )
+        with pytest.raises(ShapeError):
+            build_chain_kernel(
+                [e, d], {"tile_h": 4, "tile_w": 4, "tile_m": 8}, FcmType.DWPW
+            )
         chain = _pdp_chain(h=12)
         params = [make_layer_params(chain.specs[0])]
         for spec in chain.specs[1:]:
@@ -389,6 +417,37 @@ class TestFusedChainKernel:
         assert isinstance(k3, FusedChainKernel)
         with pytest.raises(UnsupportedError):
             build_chain_kernel([p_dw], {"tile_h": 4, "tile_w": 4})
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8])
+    @pytest.mark.parametrize(
+        "tiling",
+        [{"tile_h": 7, "tile_w": 7, "tile_m": 16}, {"tile_h": 3, "tile_w": 4, "tile_m": 8}],
+    )
+    def test_dwpw_with_strided_pw_runs_as_priced(self, engine, dtype, tiling):
+        """A DW->PW pair whose PW is strided is priced and run by one model."""
+        from repro.kernels.registry import build_fcm_kernel
+
+        dw = dw_spec(c=8, h=14, w=14, dtype=dtype)
+        pw = pw_spec(c_in=8, c_out=16, h=14, w=14, stride=2, dtype=dtype)
+        p_dw = make_layer_params(dw)
+        p_pw = chain_quant(p_dw, pw)
+        x = random_ifm(dw, seed=4)
+        res = build_fcm_kernel(FcmType.DWPW, p_dw, p_pw, tiling).simulate(
+            x, ORIN, engine
+        )
+        ref = ref_layer(p_pw, ref_layer(p_dw, x))
+        if dtype is DType.INT8:
+            np.testing.assert_array_equal(res.output, ref)
+        else:
+            np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-5)
+        est = fcm_gma(FcmType.DWPW, dw, pw, tiling, "measured")
+        assert res.counters.read_bytes == est.gma.read_bytes
+        assert res.counters.write_bytes == est.gma.write_bytes
+        assert res.counters.macs == est.useful_macs
+        assert res.counters.redundant_macs == est.redundant_macs
+        if tiling["tile_h"] == 7 and dtype is DType.FP32:
+            assert est.gma.total_bytes == 10_208
 
     def test_capacity_check_raises_on_tiny_gpu(self, tiny_gpu):
         from repro.errors import CapacityError
@@ -520,3 +579,122 @@ class TestChainServing:
         assert rep.batch_size == 4
         key = server.cache.keys()[0]
         assert key.max_chain == 3
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def _counter_rows(counters) -> list:
+    """Exact counter snapshot (floats as ``float.hex``) plus re-reads."""
+    snap = [
+        [k, v.hex() if isinstance(v, float) else v]
+        for k, v in sorted(counters.snapshot().items())
+    ]
+    return [snap, [list(r) for r in counters.rereads]]
+
+
+class TestDwPwPins:
+    """DW→PW modules priced, searched and launched: pinned exactly.
+
+    The digests are sha256 prefixes over integer rows and ``float.hex``
+    strings, so any drift in the DWPW cost model, footprints, analytic
+    counters, search winners or kernel accounting changes them.
+    """
+
+    GPUS = (GTX1660, RTX_A4000, ORIN)
+
+    @staticmethod
+    def _zoo_pairs():
+        from repro.models.zoo import build_model
+
+        seen = {}
+        for model in ("mobilenet_v1", "mobilenet_v2"):
+            for dtype in (DType.FP32, DType.INT8):
+                for cand in build_model(model, dtype).fusion_candidates():
+                    dw, pw = cand.first, cand.second
+                    if (dw.kind.short, pw.kind.short) != ("dw", "pw"):
+                        continue
+                    key = tuple(
+                        (s.in_channels, s.out_channels, s.in_h, s.in_w,
+                         s.kernel, s.stride, s.padding, s.dtype.value)
+                        for s in (dw, pw)
+                    )
+                    seen.setdefault(key, (dw, pw))
+        return [seen[k] for k in sorted(seen)]
+
+    @staticmethod
+    def _tilings(dw, pw):
+        from repro.planner.grid_search import pow2_candidates
+
+        tms = pow2_candidates(pw.out_channels)
+        return [
+            {"tile_h": th, "tile_w": tw, "tile_m": tm}
+            for th in pow2_candidates(dw.out_h)
+            for tw in pow2_candidates(dw.out_w)
+            for tm in (tms[0], tms[len(tms) // 2], tms[-1])
+        ]
+
+    def test_zoo_costs_counters_and_winners(self):
+        from repro.planner.analytic import fcm_counters
+        from repro.planner.search import best_fcm_tiling
+
+        pairs = self._zoo_pairs()
+        assert len(pairs) == 42
+        cost_rows, count_rows, win_rows = [], [], []
+        for dw, pw in pairs:
+            for t in self._tilings(dw, pw):
+                for conv in ("paper", "measured"):
+                    c = fcm_gma(FcmType.DWPW, dw, pw, t, conv)
+                    cost_rows.append([
+                        c.gma.read_bytes, c.gma.write_bytes, c.useful_macs,
+                        c.redundant_macs,
+                    ])
+                cost_rows.append(list(fcm_footprints(FcmType.DWPW, dw, pw, t)))
+                count_rows.append(_counter_rows(fcm_counters(FcmType.DWPW, dw, pw, t)))
+            for gpu in self.GPUS:
+                for conv in ("paper", "measured"):
+                    wins = [
+                        best_fcm_tiling(FcmType.DWPW, dw, pw, gpu, conv, engine=e)
+                        for e in ("vectorized", "reference")
+                    ]
+                    assert wins[0] == wins[1]
+                    res = wins[0]
+                    win_rows.append(
+                        None if res is None else [
+                            sorted(res.tiling.items()), res.gma_bytes,
+                            res.redundancy_ratio.hex(),
+                        ]
+                    )
+        assert _digest(cost_rows) == "a8f92d5fa9bcb0a3"
+        assert _digest(count_rows) == "6c5a086c91b2ca21"
+        assert _digest(win_rows) == "0f0778e1502500f6"
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_kernel_launches(self, engine):
+        from repro.kernels.registry import build_fcm_kernel
+
+        cases = [
+            (dict(c=8, h=14, w=14), dict(c_in=8, c_out=24, h=14, w=14),
+             {"tile_h": 5, "tile_w": 5, "tile_m": 8}, RTX_A4000),
+            (dict(c=8, h=14, w=14, stride=2), dict(c_in=8, c_out=16, h=7, w=7),
+             {"tile_h": 3, "tile_w": 4, "tile_m": 16}, ORIN),
+        ]
+        rows, outputs = [], []
+        for dw_kw, pw_kw, tiling, gpu in cases:
+            for dtype in (DType.FP32, DType.INT8):
+                dw = dw_spec(dtype=dtype, **dw_kw)
+                pw = pw_spec(dtype=dtype, **pw_kw)
+                p_dw = make_layer_params(dw, seed=1)
+                p_pw = chain_quant(p_dw, pw, seed=1)
+                res = build_fcm_kernel(FcmType.DWPW, p_dw, p_pw, tiling).simulate(
+                    random_ifm(dw, seed=2), gpu, engine
+                )
+                rows.append([
+                    _counter_rows(res.counters), res.stats.num_blocks,
+                    res.stats.peak_shared_bytes, res.stats.waves,
+                ])
+                if dtype is DType.INT8:
+                    outputs.append(hashlib.sha256(res.output.tobytes()).hexdigest())
+        assert _digest(rows) == "7bf6847df75ff08d"
+        assert _digest(outputs) == "ada7356f22505001"

@@ -1,4 +1,8 @@
-"""Functional correctness and accounting of the four FCM kernels."""
+"""Functional correctness and accounting of the four FCM types.
+
+PWDW, PWDW_R and PWPW run on their own kernels; DWPW runs on the two-stage
+:class:`~repro.kernels.fused_chain.FusedChainKernel`.
+"""
 
 from __future__ import annotations
 
