@@ -75,7 +75,8 @@ bench:
 
 ## cProfile top-25 of one MobileNetV2 functional run (fast engine) — the
 ## starting point for simulator perf PRs; pass ARGS="--engine reference",
-## ARGS="--what plan" (planning in isolation), etc.
+## ARGS="--what plan" (planning in isolation), ARGS="--what point" (one cold
+## Fig. 10/11 point: plan, TVM compile, analytic sessions), etc.
 profile:
 	$(PYTHON) tools/profile_run.py mobilenet_v2 --top 25 $(ARGS)
 

@@ -1,6 +1,6 @@
 """End-to-end inference sessions: ours (FCM + LBL plan) and the TVM baseline.
 
-Both sessions execute the *same* materialized network
+Both sessions execute the *same* network parameters
 (:mod:`repro.runtime.network_params`), so outputs are comparable numerically;
 they differ exactly where the paper's systems differ:
 
@@ -16,11 +16,16 @@ walk, :meth:`~InferenceSession.run_analytic_batch` (counters only, byte-
 identical totals via the measured-convention estimators), which prices every
 step through :func:`price_step`.  A single image is a batch of one: ``run``
 and ``run_analytic`` delegate to the batched walks.
+
+Analytic walks never read a weight.  A session built with ``params=None``
+therefore holds its weights on first functional use: the first read of
+``params`` materializes them from ``(graph, dtype, seed)`` and keeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,17 +92,18 @@ class SessionReport:
     kernel covering the whole batch — and ``output`` carries a leading batch
     dimension.  ``latency_s`` is then the batch's wall time; the per-image
     views (:attr:`throughput_img_s`, :attr:`energy_per_image_j`) are what the
-    serving layer reports.
+    serving layer reports.  ``records`` is a tuple, so the aggregates are
+    summed once, on first read.
     """
 
     model_name: str
     gpu: GpuSpec
     dtype: DType
-    records: list[StepRecord] = field(default_factory=list)
+    records: tuple[StepRecord, ...] = ()
     output: np.ndarray | None = None
     batch_size: int = 1
 
-    @property
+    @cached_property
     def latency_s(self) -> float:
         return sum(r.time_s for r in self.records)
 
@@ -114,15 +120,15 @@ class SessionReport:
     def energy_per_image_j(self) -> float:
         return self.energy_j / self.batch_size
 
-    @property
+    @cached_property
     def energy_j(self) -> float:
         return sum(r.energy_j for r in self.records)
 
-    @property
+    @cached_property
     def total_gma_bytes(self) -> int:
         return sum(r.counters.total_bytes for r in self.records)
 
-    @property
+    @cached_property
     def kernel_launches(self) -> int:
         return sum(r.counters.kernel_launches for r in self.records)
 
@@ -182,7 +188,33 @@ def price_step(
     raise PlanError(f"unknown plan step {step!r}")  # pragma: no cover - exhaustive
 
 
-class InferenceSession:
+class _Session:
+    """What both sessions share: a plan over a graph, and the network's
+    weights, given or materialized on first read of :attr:`params`."""
+
+    def __init__(
+        self,
+        graph: ModelGraph,
+        plan: ExecutionPlan | TvmPlan,
+        params: NetworkParams | None = None,
+        seed: int = 0,
+    ) -> None:
+        self.graph = graph
+        self.plan = plan
+        self.gpu = plan.gpu
+        self.dtype = plan.dtype
+        self._params = params
+        self._seed = seed
+
+    @property
+    def params(self) -> NetworkParams:
+        """The network's weights; only the functional walks read them."""
+        if self._params is None:
+            self._params = materialize_network(self.graph, self.dtype, self._seed)
+        return self._params
+
+
+class InferenceSession(_Session):
     """Execute a FusePlanner :class:`ExecutionPlan` end to end.
 
     ``engine`` selects how DW/PW simulated kernels execute: ``"fast"``
@@ -200,15 +232,9 @@ class InferenceSession:
         seed: int = 0,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.gpu = plan.gpu
-        self.dtype = plan.dtype
+        super().__init__(graph, plan, params, seed)
         self.engine = resolve_engine(engine)
-        self.params = params if params is not None else materialize_network(
-            graph, plan.dtype, seed
-        )
-        if self.params.dtype is not plan.dtype:
+        if params is not None and params.dtype is not plan.dtype:
             raise PlanError("network params precision differs from the plan's")
 
     # ---- functional execution -------------------------------------------------
@@ -239,9 +265,8 @@ class InferenceSession:
                 f"run_batch expects (batch, C, H, W), got shape {batch_input.shape}"
             )
         n = batch_input.shape[0]
-        report = SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, batch_size=n
-        )
+        net = self.params
+        records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
 
         def input_of(layer_name: str) -> np.ndarray:
@@ -253,7 +278,7 @@ class InferenceSession:
         for step in self.plan.steps:
             if isinstance(step, ChainStep):
                 kernel = build_chain_kernel(
-                    [self.params[sp.name] for sp in step.specs],
+                    [net[sp.name] for sp in step.specs],
                     step.tiling,
                     step.fcm_type,
                 )
@@ -261,31 +286,31 @@ class InferenceSession:
                     input_of(step.specs[0].name), self.gpu, engine
                 )
                 values[step.specs[-1].name] = res.output
-                report.records.append(
+                records.append(
                     _record(
                         "+".join(step.layer_names), "fcm", res.counters, self.gpu,
                         self.dtype, res.timing(),
                     )
                 )
             elif isinstance(step, LblStep):
-                kernel = build_lbl_kernel(self.params[step.spec.name], step.tiling)
+                kernel = build_lbl_kernel(net[step.spec.name], step.tiling)
                 res = kernel.simulate_batch(input_of(step.spec.name), self.gpu, engine)
                 values[step.spec.name] = res.output
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "lbl", res.counters, self.gpu,
                             self.dtype, res.timing())
                 )
             elif isinstance(step, StdStep):
-                params = self.params[step.spec.name]
+                params = net[step.spec.name]
                 values[step.spec.name] = np.stack([
                     run_cudnn(params, ifm, _STD_ALGO, self.gpu)[0]
                     for ifm in input_of(step.spec.name)
                 ])
-                report.records.append(price_step(step, self.gpu, self.dtype, n))
+                records.append(price_step(step, self.gpu, self.dtype, n))
             elif isinstance(step, GlueStep):
                 spec = step.spec
                 preds = self.graph.predecessors(spec.name)
-                scales = [self.params.out_scales.get(p) for p in preds]
+                scales = [net.out_scales.get(p) for p in preds]
                 outs = []
                 for i in range(n):
                     inputs = [
@@ -294,11 +319,13 @@ class InferenceSession:
                     out, _scale = apply_glue(spec, inputs, scales, self.dtype)
                     outs.append(out)
                 values[spec.name] = np.stack(outs)
-                report.records.append(price_step(step, self.gpu, self.dtype, n))
+                records.append(price_step(step, self.gpu, self.dtype, n))
             else:  # pragma: no cover - exhaustive
                 raise PlanError(f"unknown plan step {step!r}")
-        report.output = values.get(self._output_name())
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, records=tuple(records),
+            output=values.get(self._output_name()), batch_size=n,
+        )
 
     def _output_name(self) -> str:
         names = [s.name for s in self.graph.topological()]
@@ -320,10 +347,10 @@ class InferenceSession:
             raise PlanError(f"batch_size must be >= 1, got {batch_size}")
         return SessionReport(
             self.plan.model_name, self.gpu, self.dtype,
-            records=[
+            records=tuple(
                 price_step(step, self.gpu, self.dtype, batch_size)
                 for step in self.plan.steps
-            ],
+            ),
             batch_size=batch_size,
         )
 
@@ -342,6 +369,8 @@ def build_session(
     The build-graph -> plan -> materialize -> session scaffold every
     functional entry point needs (CLI ``run``, ``make profile``, the engine
     benches); keep them on this one helper so the setup can't drift apart.
+    The weights are materialized here, not on the first functional run, so
+    a caller timing ``run`` times inference alone.
     """
     from ..models.zoo import build_model
     from ..planner.planner import FusePlanner
@@ -368,38 +397,24 @@ def seeded_input(graph: ModelGraph, dtype: DType, seed: int = 0, batch: int = 1)
     return rng.standard_normal(shape).astype(np.float32)
 
 
-class TvmSession:
+class TvmSession(_Session):
     """Execute a :class:`TvmPlan` (cuDNN-backend per-layer, fused adds)."""
-
-    def __init__(
-        self,
-        graph: ModelGraph,
-        plan: TvmPlan,
-        params: NetworkParams | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.gpu = plan.gpu
-        self.dtype = plan.dtype
-        self.params = params if params is not None else materialize_network(
-            graph, plan.dtype, seed
-        )
 
     def run(self, input_array: np.ndarray) -> SessionReport:
         """Functional execution (reference ops + cuDNN accounting)."""
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
+        net = self.params
+        records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):
                 preds = self.graph.predecessors(step.spec.name)
                 ifm = values[preds[0]] if preds else input_array
                 out, counters, timing = run_cudnn(
-                    self.params[step.spec.name], ifm, step.algo, self.gpu,
+                    net[step.spec.name], ifm, step.algo, self.gpu,
                     gemm_tile=step.gemm_tile,
                 )
                 values[step.spec.name] = out
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "tvm-conv", counters, self.gpu,
                             self.dtype, timing)
                 )
@@ -407,31 +422,35 @@ class TvmSession:
                 spec = step.spec
                 preds = self.graph.predecessors(spec.name)
                 inputs = [values[p] if p in values else input_array for p in preds]
-                scales = [self.params.out_scales.get(p) for p in preds]
+                scales = [net.out_scales.get(p) for p in preds]
                 out, _scale = apply_glue(spec, inputs, scales, self.dtype)
                 values[spec.name] = out
                 counters = glue_counters(spec, self.dtype, fused=step.fused)
-                report.records.append(
+                records.append(
                     _record(spec.name, "glue", counters, self.gpu, self.dtype)
                 )
         names = [s.name for s in self.graph.topological()]
-        report.output = values.get(names[-1])
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, records=tuple(records),
+            output=values.get(names[-1]),
+        )
 
     def run_analytic(self) -> SessionReport:
         """Counters-only execution of the TVM plan."""
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
+        records: list[StepRecord] = []
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):
                 counters = cudnn_counters(step.spec, step.algo, gemm_tile=step.gemm_tile)
                 timing = cudnn_timing(step.spec, step.algo, self.gpu, gemm_tile=step.gemm_tile)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "tvm-conv", counters, self.gpu,
                             self.dtype, timing)
                 )
             else:
                 counters = glue_counters(step.spec, self.dtype, fused=step.fused)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
                 )
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, records=tuple(records)
+        )

@@ -4,9 +4,11 @@ FusePlanner's whole-model pass (tiling search over every layer and fusion
 candidate) costs orders of magnitude more than pricing one inference, yet its
 output depends only on (model, precision, GPU, cost convention).  The serving
 layer therefore memoizes the :class:`~repro.planner.plan.ExecutionPlan`
-*together with* the materialized :class:`~repro.runtime.network_params.
-NetworkParams` and a ready :class:`~repro.runtime.session.InferenceSession`,
-keyed by exactly those four inputs.  Cross-layer reuse work (Wang et al.)
+*together with* a ready :class:`~repro.runtime.session.InferenceSession`,
+keyed by exactly those four inputs.  The session holds the :class:`~repro.
+runtime.network_params.NetworkParams` weights on first functional use: an
+entry that only prices analytic micro-batches never materializes them.
+Cross-layer reuse work (Wang et al.)
 makes the same point for fused kernels: fusion pays off most when one plan is
 amortized over many invocations.
 """
@@ -24,7 +26,7 @@ from ..models.zoo import build_model
 from ..obs import resolve_metrics, resolve_tracer
 from ..planner.plan import ExecutionPlan
 from ..planner.planner import FusePlanner
-from ..runtime.network_params import NetworkParams, materialize_network
+from ..runtime.network_params import NetworkParams
 from ..runtime.session import InferenceSession, SessionReport
 
 __all__ = ["PlanKey", "CachedPlan", "CacheStats", "PlanCache"]
@@ -80,11 +82,15 @@ class CachedPlan:
     key: PlanKey
     graph: ModelGraph
     plan: ExecutionPlan
-    params: NetworkParams
     session: InferenceSession
     #: memoized analytic reports, keyed by batch size (pricing a micro-batch
     #: of a size already seen is then a dict lookup).
     _analytic: dict[int, SessionReport] = field(default_factory=dict)
+
+    @property
+    def params(self) -> NetworkParams:
+        """The session's weights, materialized on first read."""
+        return self.session.params
 
     def analytic_report(self, batch_size: int) -> SessionReport:
         """Counters-only batched report for this plan (memoized per size)."""
@@ -120,10 +126,10 @@ class CacheStats:
 class PlanCache:
     """LRU cache of :class:`CachedPlan` entries.
 
-    ``capacity`` bounds the number of resident plans (a materialized network
-    holds every weight tensor, so unbounded growth would be a memory leak in
-    a long-running server).  Least-recently-*used* eviction: every hit
-    refreshes the entry's recency.
+    ``capacity`` bounds the number of resident plans (an entry's session
+    holds every weight tensor on first functional use, so unbounded growth
+    would be a memory leak in a long-running server).  Least-recently-*used*
+    eviction: every hit refreshes the entry's recency.
     """
 
     def __init__(
@@ -205,9 +211,10 @@ class PlanCache:
         The planner already ran — possibly in another process — so this
         counts as a ``warm_start``, not a miss or a planner invocation: the
         plan-once/serve-many accounting the replay asserts must not depend
-        on *where* boot-time planning happened.  The graph, weights and
-        session are materialized here (they are cheap relative to planning
-        and not worth shipping across a process boundary).  An already
+        on *where* boot-time planning happened.  The graph and session are
+        built here (they are cheap relative to planning and not worth
+        shipping across a process boundary); the session holds its weights
+        on first functional use.  An already
         resident entry wins: installing under a live key is a no-op so a
         preplan pass can never clobber serving state.
         """
@@ -232,8 +239,9 @@ class PlanCache:
     def adopt(self, entry: CachedPlan) -> CachedPlan:
         """Share a peer's resident entry (recovery re-warm path).
 
-        The plan, weights and session were already materialized on a
-        same-GPU peer, so adopting the object is free and counts as a
+        The plan and session were already built on a same-GPU peer, and the
+        session's weights on first functional use are shared with it, so
+        adopting the object is free and counts as a
         ``warm_start`` exactly like :meth:`install`.  An already resident
         entry wins (no-op), and adoption respects capacity via LRU
         eviction like any other insertion.
@@ -321,7 +329,6 @@ class PlanCache:
         return self._entry(key, graph, plan)
 
     def _entry(self, key: PlanKey, graph: ModelGraph, plan: ExecutionPlan) -> CachedPlan:
-        """Materialize weights and a session around a planned graph."""
-        params = materialize_network(graph, DType(key.dtype), self.seed)
-        session = InferenceSession(graph, plan, params)
-        return CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)
+        """A session around a planned graph; weights on first functional use."""
+        session = InferenceSession(graph, plan, seed=self.seed)
+        return CachedPlan(key=key, graph=graph, plan=plan, session=session)

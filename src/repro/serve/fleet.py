@@ -518,8 +518,9 @@ class Fleet:
 
         A crash wiped the worker's on-device plans (``PlanCache.clear``);
         before it takes traffic again, adopt every plan still resident on
-        a peer with the same GPU — adoption shares the peer's materialized
-        entry and counts as a warm start, never a planner invocation.
+        a peer with the same GPU — adoption shares the peer's entry (its
+        session, and the weights once a functional run reads them) and
+        counts as a warm start, never a planner invocation.
         Returns the number of plans adopted.
         """
         adopted = 0

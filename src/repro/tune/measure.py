@@ -57,7 +57,6 @@ from ..planner.search import (
     enumerate_lbl_tilings,
 )
 from ..runtime.glue import glue_counters
-from ..runtime.network_params import materialize_network
 from ..runtime.session import InferenceSession, price_step
 from .calibrate import analytic_cost_s
 from .records import TuningDB, TuningKey, TuningRecord, chain_geometry, spec_geometry
@@ -356,10 +355,7 @@ def _measure_model_impl(
     plan = FusePlanner(
         gpu, convention, max_chain=max_chain, tracer=tracer, metrics=metrics
     ).plan(graph)
-    session = InferenceSession(
-        graph, plan, materialize_network(graph, dtype, seed)
-    )
-    report = session.run_analytic()
+    report = InferenceSession(graph, plan, seed=seed).run_analytic()
     assert len(report.records) == len(plan.steps)
 
     added = 0

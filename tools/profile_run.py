@@ -1,17 +1,22 @@
-"""cProfile one end-to-end functional model run or one planning pass.
+"""cProfile one functional model run, one planning pass or one paper point.
 
 ``--what run`` (default) plans the model, materializes parameters, runs one
 warm-up inference, then profiles a second run.  ``--what plan`` profiles
 FusePlanner's whole-model pass in isolation — the tiling search over every
 layer and fusion candidate — which is what the vectorized search engine
 targets (``--search-engine reference`` profiles the scalar oracle instead).
-Both modes print the top-N functions by cumulative and by internal time —
+``--what point`` profiles one cold Fig. 10/11 point
+(:func:`repro.experiments.fig10_fig11.end_to_end_point`: build, plan, TVM
+compile and both analytic sessions), the unit of the paper sweep; with the
+weights off the analytic path its hot frames are ``FusePlanner.plan`` and
+``TvmCompiler.compile``.
+Every mode prints the top-N functions by cumulative and by internal time —
 the starting point for every simulator perf PR (this is how the fast-path
 engine's and the grid search's hot spots were found).
 
 Usage::
 
-    PYTHONPATH=src python tools/profile_run.py [model] [--what plan|run]
+    PYTHONPATH=src python tools/profile_run.py [model] [--what run|plan|point]
                                                [--engine fast|reference]
                                                [--search-engine vectorized|reference]
                                                [--dtype fp32|int8] [--gpu RTX]
@@ -43,9 +48,10 @@ def _profile(fn, top: int) -> "object":
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("model", nargs="?", default="mobilenet_v2")
-    parser.add_argument("--what", choices=["run", "plan"], default="run",
-                        help="profile one functional inference (default) or "
-                             "one FusePlanner whole-model pass in isolation")
+    parser.add_argument("--what", choices=["run", "plan", "point"], default="run",
+                        help="profile one functional inference (default), "
+                             "one FusePlanner whole-model pass in isolation, "
+                             "or one cold Fig. 10/11 point")
     parser.add_argument("--engine", choices=["fast", "reference"], default="fast")
     parser.add_argument("--search-engine", choices=["vectorized", "reference"],
                         default="vectorized",
@@ -81,6 +87,14 @@ def main(argv: list[str] | None = None) -> int:
         plan = _profile(plan_once, args.top)
         print(f"{len(plan.steps)} plan steps for {args.model} on {gpu.name} "
               f"[search_engine={args.search_engine}]")
+        return 0
+
+    if args.what == "point":
+        from repro.experiments.fig10_fig11 import end_to_end_point
+
+        point = _profile(lambda: end_to_end_point(args.model, gpu, dtype), args.top)
+        print(f"{point.model} on {point.gpu} ({point.dtype}): "
+              f"{point.speedup_vs_tvm:.3f}x vs TVM")
         return 0
 
     from repro.runtime.session import build_session, seeded_input
